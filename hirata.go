@@ -178,6 +178,15 @@ func strictVerify(text []Instruction, cfg LintConfig) error {
 		len(ds), strings.Join(msgs, "\n  "))
 }
 
+// verifyForRun is the StrictVerify gate every RunMT variant applies before
+// it simulates.
+func verifyForRun(cfg MTConfig, text []Instruction, m *Memory, startPCs []int64) error {
+	if !cfg.StrictVerify {
+		return nil
+	}
+	return strictVerify(text, lintConfigForRun(cfg, m, startPCs))
+}
+
 // Assemble translates assembly source into a Program.
 func Assemble(src string) (*Program, error) { return asm.Assemble(src) }
 
@@ -197,10 +206,8 @@ func NewMemoryWithRemote(words int, remoteBase int64, latency int) *Memory {
 // at the given program counters (default: one thread at 0). When a run
 // ledger is attached (SetRunLedger), the completed run is recorded.
 func RunMT(cfg MTConfig, text []Instruction, m *Memory, startPCs ...int64) (MTResult, error) {
-	if cfg.StrictVerify {
-		if err := strictVerify(text, lintConfigForRun(cfg, m, startPCs)); err != nil {
-			return MTResult{}, err
-		}
+	if err := verifyForRun(cfg, text, m, startPCs); err != nil {
+		return MTResult{}, err
 	}
 	pend, led, tag := recordBegin(cfg, text, m, startPCs)
 	p, err := core.New(cfg, text, m)
@@ -221,6 +228,9 @@ func RunMT(cfg MTConfig, text []Instruction, m *Memory, startPCs ...int64) (MTRe
 // to w (issues, schedule-unit selections, redirects, binds, traps,
 // priority rotations, thread ends).
 func RunMTTraced(cfg MTConfig, text []Instruction, m *Memory, w io.Writer, startPCs ...int64) (MTResult, error) {
+	if err := verifyForRun(cfg, text, m, startPCs); err != nil {
+		return MTResult{}, err
+	}
 	p, err := core.New(cfg, text, m)
 	if err != nil {
 		return MTResult{}, err
@@ -289,6 +299,9 @@ func ServeObservability(addr string, c *Collector, prog *Program) (string, func(
 // Observer). Collectors passed here are finalized against the run result
 // before returning.
 func RunMTObserved(cfg MTConfig, text []Instruction, m *Memory, observers []Observer, startPCs ...int64) (MTResult, error) {
+	if err := verifyForRun(cfg, text, m, startPCs); err != nil {
+		return MTResult{}, err
+	}
 	pend, led, tag := recordBegin(cfg, text, m, startPCs)
 	p, err := core.New(cfg, text, m)
 	if err != nil {
@@ -349,10 +362,8 @@ func NewSweepRecorder() *SweepRecorder { return hostobs.NewSweepRecorder() }
 // observers, the profiler leaves quiescent-cycle skipping armed (it records
 // the jumps instead), so a profiled run produces an identical MTResult.
 func RunMTHostProfiled(cfg MTConfig, text []Instruction, m *Memory, prof *HostProfiler, startPCs ...int64) (MTResult, error) {
-	if cfg.StrictVerify {
-		if err := strictVerify(text, lintConfigForRun(cfg, m, startPCs)); err != nil {
-			return MTResult{}, err
-		}
+	if err := verifyForRun(cfg, text, m, startPCs); err != nil {
+		return MTResult{}, err
 	}
 	pend, led, tag := recordBegin(cfg, text, m, startPCs)
 	p, err := core.New(cfg, text, m)
@@ -377,6 +388,9 @@ func RunMTHostProfiled(cfg MTConfig, text []Instruction, m *Memory, prof *HostPr
 // skipping, so the host profile of such a run shows the cycle loop scanning
 // quiescent cycles the unobserved simulator would have jumped over.
 func RunMTProfiledObserved(cfg MTConfig, text []Instruction, m *Memory, observers []Observer, prof *HostProfiler, startPCs ...int64) (MTResult, error) {
+	if err := verifyForRun(cfg, text, m, startPCs); err != nil {
+		return MTResult{}, err
+	}
 	pend, led, tag := recordBegin(cfg, text, m, startPCs)
 	p, err := core.New(cfg, text, m)
 	if err != nil {

@@ -53,20 +53,20 @@ func writeLoopTrack(tw *obs.TraceWriter, p *Profiler) {
 			// Sub-microsecond phases still get a 1µs-wide slice (TraceWriter
 			// widens zero durations); offsets accumulate in ns for fidelity.
 			tw.Slice(hostLoopPID, hostLoopTID, ph.String(), hostLoopCat,
-				ts+off/1000, d/1000, map[string]any{"cycle": s.Cycle, "ns": d})
+				ts+off/1000, d/1000, obs.Uint64("cycle", s.Cycle), obs.Uint64("ns", d))
 			off += d
 		}
 		total := uint64(0)
 		for _, d := range s.PhaseNs {
 			total += d
 		}
-		tw.Counter(hostLoopPID, hostLoopTID, "step ns", ts, map[string]any{"ns": total})
+		tw.Counter(hostLoopPID, hostLoopTID, "step ns", ts, obs.Uint64("ns", total))
 		tw.Counter(hostLoopPID, hostLoopTID, "running slots", ts,
-			map[string]any{"slots": s.Touch.RunningSlots})
+			obs.Uint64("slots", s.Touch.RunningSlots))
 	}
 	for _, sk := range skips {
 		tw.Instant(hostLoopPID, hostLoopTID, "skip jump", sk.AtNs/1000, "p",
-			map[string]any{"from_cycle": sk.From, "to_cycle": sk.To, "skipped": sk.To - sk.From - 1})
+			obs.Uint64("from_cycle", sk.From), obs.Uint64("skipped", sk.To-sk.From-1), obs.Uint64("to_cycle", sk.To))
 	}
 }
 
@@ -79,8 +79,8 @@ func writeSweepTrack(tw *obs.TraceWriter, rec *SweepRecorder) {
 	for _, c := range spans {
 		name := "cell"
 		tw.Slice(sweepPID, c.Worker, name, sweepCat, c.StartNs/1000, c.DurNs/1000,
-			map[string]any{"cell": c.Cell, "pending": c.Pending, "failed": c.Failed})
+			obs.Int64("cell", int64(c.Cell)), obs.Bool("failed", c.Failed), obs.Int64("pending", int64(c.Pending)))
 		tw.Counter(sweepPID, 0, "cells pending", (c.StartNs+c.DurNs)/1000,
-			map[string]any{"pending": c.Pending})
+			obs.Int64("pending", int64(c.Pending)))
 	}
 }

@@ -141,13 +141,19 @@ func (r Reg) Index() int {
 
 // String renders the register in assembly syntax ("r7", "f12").
 func (r Reg) String() string {
+	var buf [4]byte
+	return string(r.appendText(buf[:0]))
+}
+
+// appendText appends the register's assembly name to b.
+func (r Reg) appendText(b []byte) []byte {
 	switch {
 	case r == NoReg:
-		return "-"
+		return append(b, '-')
 	case r.IsFP():
-		return fmt.Sprintf("f%d", r.Index())
+		return strconv.AppendInt(append(b, 'f'), int64(r.Index()), 10)
 	default:
-		return fmt.Sprintf("r%d", r.Index())
+		return strconv.AppendInt(append(b, 'r'), int64(r.Index()), 10)
 	}
 }
 

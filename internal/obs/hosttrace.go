@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"bufio"
-	"io"
-)
+import "io"
 
 // TraceWriter is the exported face of the Chrome Trace Event encoder behind
 // WriteChromeTrace, for callers that lay out their own tracks — notably
@@ -13,17 +10,13 @@ import (
 // microsecond is whatever the caller says it is; hostobs uses host
 // microseconds where the pipeline traces use simulated cycles.
 type TraceWriter struct {
-	bw  *bufio.Writer
 	enc *traceEncoder
 }
 
 // NewTraceWriter starts a Chrome Trace Event JSON document on w. Call Close
 // to finish it; the document is invalid until then.
 func NewTraceWriter(w io.Writer) *TraceWriter {
-	bw := bufio.NewWriter(w)
-	enc := &traceEncoder{w: bw}
-	enc.begin()
-	return &TraceWriter{bw: bw, enc: enc}
+	return &TraceWriter{enc: newTraceEncoder(w)}
 }
 
 // ProcessName names a pid's track group.
@@ -37,31 +30,25 @@ func (t *TraceWriter) ThreadName(pid, tid int, name string) {
 }
 
 // Slice emits a complete ("X") slice. A zero duration is widened to 1 so
-// the slice stays visible.
-func (t *TraceWriter) Slice(pid, tid int, name, cat string, ts, dur uint64, args map[string]any) {
+// the slice stays visible. Args are listed in key order (see Arg).
+func (t *TraceWriter) Slice(pid, tid int, name, cat string, ts, dur uint64, args ...Arg) {
 	if dur == 0 {
 		dur = 1
 	}
-	t.enc.event(traceEvent{Name: name, Cat: cat, Ph: "X", TS: ts, Dur: dur, Pid: pid, Tid: tid, Args: args})
+	t.enc.event(&traceEvent{Name: name, Cat: cat, Ph: "X", TS: ts, Dur: dur, Pid: pid, Tid: tid, Args: args})
 }
 
 // Instant emits an instant ("i") event. Scope is "t" (thread), "p"
 // (process) or "g" (global).
-func (t *TraceWriter) Instant(pid, tid int, name string, ts uint64, scope string, args map[string]any) {
-	t.enc.event(traceEvent{Name: name, Ph: "i", TS: ts, Pid: pid, Tid: tid, S: scope, Args: args})
+func (t *TraceWriter) Instant(pid, tid int, name string, ts uint64, scope string, args ...Arg) {
+	t.enc.event(&traceEvent{Name: name, Ph: "i", TS: ts, Pid: pid, Tid: tid, S: scope, Args: args})
 }
 
-// Counter emits a counter ("C") sample; args maps series name to value.
-func (t *TraceWriter) Counter(pid, tid int, name string, ts uint64, args map[string]any) {
-	t.enc.event(traceEvent{Name: name, Ph: "C", TS: ts, Pid: pid, Tid: tid, Args: args})
+// Counter emits a counter ("C") sample; each arg is one series.
+func (t *TraceWriter) Counter(pid, tid int, name string, ts uint64, args ...Arg) {
+	t.enc.event(&traceEvent{Name: name, Ph: "C", TS: ts, Pid: pid, Tid: tid, Args: args})
 }
 
 // Close terminates the traceEvents array and flushes. The writer must not
 // be used afterwards.
-func (t *TraceWriter) Close() error {
-	t.enc.end()
-	if t.enc.err != nil {
-		return t.enc.err
-	}
-	return t.bw.Flush()
-}
+func (t *TraceWriter) Close() error { return t.enc.close() }

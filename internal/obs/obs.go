@@ -160,13 +160,17 @@ type Collector struct {
 	// unitOrd maps (class, index) to the ordinal in units.
 	unitOrd [int(isa.UnitLoadStore) + 1][]int
 
-	ring    []Event
-	head    int // next write position once the ring is full
-	full    bool
+	// ring holds the newest events in pages of ringPageEvents (the last
+	// page may be shorter), so growth allocates a page and never copies.
+	ring    [][]Event
+	held    int // events in the ring, at most RingCapacity
+	head    int // oldest event's position (next overwrite) once full
 	dropped uint64
 
-	totals    Totals
-	profile   map[int64]*PCStat
+	totals Totals
+	// profile holds the per-PC rows, indexed by pc; a row that counted
+	// nothing yet is unused.
+	profile   []PCStat
 	lastCycle uint64
 	bound     uint64 // bitset of bound slots (ThreadSlots ≤ 64)
 
@@ -234,7 +238,7 @@ func NewCollector(cfg core.Config, opt Options) *Collector {
 	if slots <= 0 {
 		slots = 1
 	}
-	c := &Collector{opt: opt, slots: slots, profile: make(map[int64]*PCStat)}
+	c := &Collector{opt: opt, slots: slots}
 	for cls := isa.UnitClass(1); int(cls) <= isa.NumUnitClasses; cls++ {
 		n := cfg.UnitCount(cls)
 		for i := 0; i < n; i++ {
@@ -306,29 +310,40 @@ func (c *Collector) closeInterval(end uint64) {
 	c.interval = c.newSample(end)
 }
 
-// push records an event in the ring buffer. Call with c.mu held.
+// ringPageEvents is the event ring's page size.
+const ringPageEvents = 4096
+
+// push records an event in the ring buffer, overwriting the oldest once
+// the ring holds RingCapacity events. Call with c.mu held.
 func (c *Collector) push(e Event) {
-	if !c.full && len(c.ring) < c.opt.RingCapacity {
-		c.ring = append(c.ring, e)
-		if len(c.ring) == c.opt.RingCapacity {
-			c.full = true
+	if c.held < c.opt.RingCapacity {
+		if c.held%ringPageEvents == 0 {
+			c.ring = append(c.ring, make([]Event, 0, min(ringPageEvents, c.opt.RingCapacity-c.held)))
 		}
+		page := &c.ring[len(c.ring)-1]
+		*page = append(*page, e)
+		c.held++
 		return
 	}
-	c.full = true
-	c.ring[c.head] = e
-	c.head = (c.head + 1) % len(c.ring)
+	c.ring[c.head/ringPageEvents][c.head%ringPageEvents] = e
+	if c.head++; c.head == c.held {
+		c.head = 0
+	}
 	c.dropped++
 }
 
-// pcStat returns (creating if needed) the profile row for pc. Call with
-// c.mu held.
+// pcStat returns the profile row for pc, growing the table to reach it,
+// or nil for a negative pc (the core issues, selects and completes only at
+// real pcs). Call with c.mu held.
 func (c *Collector) pcStat(pc int64) *PCStat {
-	st := c.profile[pc]
-	if st == nil {
-		st = &PCStat{PC: pc}
-		c.profile[pc] = st
+	if pc < 0 {
+		return nil
 	}
+	if pc >= int64(len(c.profile)) {
+		c.profile = append(c.profile, make([]PCStat, int(pc)+1-len(c.profile))...)
+	}
+	st := &c.profile[pc]
+	st.PC = pc
 	return st
 }
 
@@ -347,9 +362,10 @@ func (c *Collector) Issue(cycle uint64, slot int, pc int64, ins isa.Instruction)
 		}
 	}
 	c.interval.Issued++
-	st := c.pcStat(pc)
-	st.Ins = ins
-	st.Issues++
+	if st := c.pcStat(pc); st != nil {
+		st.Ins = ins
+		st.Issues++
+	}
 	c.push(Event{Kind: KindIssue, Cycle: cycle, Slot: int16(slot), PC: pc, Ins: ins})
 	c.mu.Unlock()
 }
@@ -365,12 +381,13 @@ func (c *Collector) Select(cycle uint64, slot int, pc int64, ins isa.Instruction
 		c.totals.UnitInvocs[ord]++
 		c.interval.UnitBusy[ord] += lat
 	}
-	st := c.pcStat(pc)
-	st.Ins = ins
-	st.Selects++
-	st.BusyCycles += lat
-	if readyAt > cycle {
-		st.LatencyCycles += readyAt - cycle
+	if st := c.pcStat(pc); st != nil {
+		st.Ins = ins
+		st.Selects++
+		st.BusyCycles += lat
+		if readyAt > cycle {
+			st.LatencyCycles += readyAt - cycle
+		}
 	}
 	c.push(Event{Kind: KindSelect, Cycle: cycle, Slot: int16(slot), PC: pc, Ins: ins,
 		Unit: unit, UnitIndex: uint8(unitIndex), ReadyAt: readyAt})
@@ -382,7 +399,9 @@ func (c *Collector) Complete(cycle uint64, slot int, pc int64, ins isa.Instructi
 	c.mu.Lock()
 	c.advance(cycle)
 	c.totals.Completes++
-	c.pcStat(pc).Completes++
+	if st := c.pcStat(pc); st != nil {
+		st.Completes++
+	}
 	c.push(Event{Kind: KindComplete, Cycle: cycle, Slot: int16(slot), PC: pc, Ins: ins,
 		Unit: unit, UnitIndex: uint8(unitIndex)})
 	c.mu.Unlock()
@@ -402,9 +421,9 @@ func (c *Collector) Stall(cycle uint64, slot int, pc int64, reason core.StallRea
 	if int(reason) < len(c.interval.Stalls) {
 		c.interval.Stalls[reason]++
 	}
-	if pc >= 0 {
+	if st := c.pcStat(pc); st != nil {
 		// Attribute the stall to the instruction heading the window.
-		c.pcStat(pc).StallCycles++
+		st.StallCycles++
 	}
 	if c.opt.KeepStallEvents {
 		c.push(Event{Kind: KindStall, Cycle: cycle, Slot: int16(slot), PC: pc, Reason: reason})
@@ -525,12 +544,19 @@ func (c *Collector) Events() []Event {
 }
 
 func (c *Collector) eventsLocked() []Event {
-	out := make([]Event, 0, len(c.ring))
-	if c.full {
-		out = append(out, c.ring[c.head:]...)
-		out = append(out, c.ring[:c.head]...)
-	} else {
-		out = append(out, c.ring...)
+	out := make([]Event, 0, c.held)
+	out = c.appendRing(out, c.head, c.held)
+	return c.appendRing(out, 0, c.head)
+}
+
+// appendRing appends the ring's events at positions [from, to) to out.
+func (c *Collector) appendRing(out []Event, from, to int) []Event {
+	for from < to {
+		page := c.ring[from/ringPageEvents]
+		i := from % ringPageEvents
+		n := min(len(page)-i, to-from)
+		out = append(out, page[i:i+n]...)
+		from += n
 	}
 	return out
 }

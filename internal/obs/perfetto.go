@@ -1,10 +1,11 @@
 package obs
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
+
+	"hirata/internal/isa"
 )
 
 // Chrome Trace Event export. The format is the JSON "trace event" schema
@@ -38,20 +39,6 @@ const (
 	instrumentCat = "pipeline"
 )
 
-// traceEvent is one Chrome Trace Event. Field order is fixed, so the
-// output is byte-stable for golden tests.
-type traceEvent struct {
-	Name string         `json:"name,omitempty"`
-	Cat  string         `json:"cat,omitempty"`
-	Ph   string         `json:"ph"`
-	TS   uint64         `json:"ts"`
-	Dur  uint64         `json:"dur,omitempty"`
-	Pid  int            `json:"pid"`
-	Tid  int            `json:"tid"`
-	S    string         `json:"s,omitempty"`
-	Args map[string]any `json:"args,omitempty"`
-}
-
 // slotSpan is one instruction lifetime on a slot track.
 type slotSpan struct {
 	start, end uint64
@@ -60,6 +47,7 @@ type slotSpan struct {
 	unit       string // empty until selected
 	slotID     int
 	lane       int
+	next       int // the span queued after this one in buildSlotSpans, plus one
 }
 
 // WriteChromeTrace exports the collector's ring buffer as Chrome Trace
@@ -75,9 +63,7 @@ func (c *Collector) WriteChromeTrace(w io.Writer) error {
 	dropped := c.dropped
 	c.mu.Unlock()
 
-	bw := bufio.NewWriter(w)
-	enc := &traceEncoder{w: bw}
-	enc.begin()
+	enc := newTraceEncoder(w)
 
 	// Track-naming metadata.
 	enc.meta("process_name", machinePID, machineTID, "machine")
@@ -86,7 +72,8 @@ func (c *Collector) WriteChromeTrace(w io.Writer) error {
 	for ord, u := range units {
 		enc.meta("thread_name", unitsPID, ord, u.Name)
 	}
-	spans, instants := buildSlotSpans(events)
+	names := newTraceNames(c)
+	spans := buildSlotSpans(events, names)
 	lanes := assignLanes(spans, slots)
 	for s := 0; s < slots; s++ {
 		enc.meta("process_name", slotPIDBase+s, 0, fmt.Sprintf("slot %d", s))
@@ -99,12 +86,17 @@ func (c *Collector) WriteChromeTrace(w io.Writer) error {
 		}
 	}
 	if dropped > 0 {
-		enc.event(traceEvent{Name: fmt.Sprintf("ring dropped %d events", dropped), Ph: "i",
+		enc.event(&traceEvent{Name: fmt.Sprintf("ring dropped %d events", dropped), Ph: "i",
 			TS: 0, Pid: machinePID, Tid: machineTID, S: "g"})
 	}
 
+	// One event value and args array serve every event below.
+	var ev traceEvent
+	var args [3]Arg
+
 	// Functional-unit occupancy slices (select → select + issue latency).
-	for _, e := range events {
+	for i := range events {
+		e := &events[i]
 		if e.Kind != KindSelect {
 			continue
 		}
@@ -116,104 +108,188 @@ func (c *Collector) WriteChromeTrace(w io.Writer) error {
 		if dur == 0 {
 			dur = 1
 		}
-		enc.event(traceEvent{Name: e.Ins.String(), Cat: instrumentCat, Ph: "X",
+		ev = traceEvent{Name: names.instruction(e.Ins), Cat: instrumentCat, Ph: "X",
 			TS: e.Cycle, Dur: dur, Pid: unitsPID, Tid: ord,
-			Args: map[string]any{"pc": e.PC, "slot": e.Slot, "ready_at": e.ReadyAt}})
+			Args: append(args[:0], Int64("pc", e.PC), Uint64("ready_at", e.ReadyAt), Int64("slot", int64(e.Slot)))}
+		enc.event(&ev)
 	}
 
 	// Slot instruction-lifetime slices.
-	for _, sp := range spans {
-		args := map[string]any{"pc": sp.pc}
-		if sp.unit != "" {
-			args["unit"] = sp.unit
-		}
+	for i := range spans {
+		sp := &spans[i]
 		dur := sp.end - sp.start
 		if dur == 0 {
 			dur = 1
 		}
-		enc.event(traceEvent{Name: sp.name, Cat: instrumentCat, Ph: "X",
-			TS: sp.start, Dur: dur, Pid: slotPIDBase + sp.slotID, Tid: sp.lane, Args: args})
+		ev = traceEvent{Name: sp.name, Cat: instrumentCat, Ph: "X",
+			TS: sp.start, Dur: dur, Pid: slotPIDBase + sp.slotID, Tid: sp.lane,
+			Args: append(args[:0], Int64("pc", sp.pc))}
+		if sp.unit != "" {
+			ev.Args = append(ev.Args, String("unit", sp.unit))
+		}
+		enc.event(&ev)
 	}
 
 	// Instant events: redirects, traps, binds, thread ends, rotations.
-	for _, e := range instants {
-		enc.event(e)
+	for i := range events {
+		if names.instantEvent(&ev, &events[i]) {
+			enc.event(&ev)
+		}
 	}
 
 	// Counters from the interval sampler.
 	for _, s := range samples {
-		enc.event(traceEvent{Name: "IPC", Ph: "C", TS: s.StartCycle, Pid: machinePID, Tid: machineTID,
-			Args: map[string]any{"ipc": s.IPC}})
-		enc.event(traceEvent{Name: "slots bound", Ph: "C", TS: s.StartCycle, Pid: machinePID, Tid: machineTID,
-			Args: map[string]any{"bound": s.SlotsBound}})
+		ev = traceEvent{Name: "IPC", Ph: "C", TS: s.StartCycle, Pid: machinePID, Tid: machineTID,
+			Args: append(args[:0], Float64("ipc", s.IPC))}
+		enc.event(&ev)
+		ev = traceEvent{Name: "slots bound", Ph: "C", TS: s.StartCycle, Pid: machinePID, Tid: machineTID,
+			Args: append(args[:0], Int64("bound", int64(s.SlotsBound)))}
+		enc.event(&ev)
 	}
 
-	enc.end()
-	if enc.err != nil {
-		return enc.err
+	return enc.close()
+}
+
+// traceNames memoizes, within one export, the strings the export repeats:
+// each distinct instruction's disassembly, unit names, and each distinct
+// instant label.
+type traceNames struct {
+	c       *Collector
+	ins     map[isa.Instruction]string
+	instant map[Event]string // keyed by the event with Cycle and Slot cleared
+}
+
+func newTraceNames(c *Collector) *traceNames {
+	return &traceNames{c: c, ins: map[isa.Instruction]string{}, instant: map[Event]string{}}
+}
+
+func (n *traceNames) instruction(ins isa.Instruction) string {
+	s, ok := n.ins[ins]
+	if !ok {
+		s = ins.String()
+		n.ins[ins] = s
 	}
-	return bw.Flush()
+	return s
+}
+
+func (n *traceNames) unit(cls isa.UnitClass, idx int) string {
+	if ord := n.c.ordinal(cls, idx); ord >= 0 {
+		return n.c.units[ord].Name
+	}
+	return unitName(cls, idx)
+}
+
+// instantEvent sets ev to e's instant event and reports whether e has one:
+// rotations go on the machine track, the other kinds on lane 0 of their
+// slot.
+func (n *traceNames) instantEvent(ev *traceEvent, e *Event) bool {
+	scope := "t"
+	switch e.Kind {
+	case KindRedirect, KindBind, KindThreadEnd, KindStall:
+	case KindTrap, KindRotate:
+		scope = "p"
+	default:
+		return false
+	}
+	key := *e
+	key.Cycle, key.Slot = 0, 0
+	name, ok := n.instant[key]
+	if !ok {
+		name = instantName(e)
+		n.instant[key] = name
+	}
+	*ev = traceEvent{Name: name, Ph: "i", TS: e.Cycle, Pid: slotPIDBase + int(e.Slot), Tid: 0, S: scope}
+	if e.Kind == KindRotate {
+		ev.Pid, ev.Tid = machinePID, machineTID
+	}
+	return true
+}
+
+// instantName labels an instant event.
+func instantName(e *Event) string {
+	switch e.Kind {
+	case KindRedirect:
+		return "redirect→" + strconv.FormatInt(e.PC, 10)
+	case KindTrap:
+		return "trap frame=" + strconv.Itoa(int(e.Frame)) + " addr=" + strconv.FormatInt(e.Aux, 10)
+	case KindBind:
+		return "bind frame=" + strconv.Itoa(int(e.Frame)) + " tid=" + strconv.FormatInt(e.Aux, 10)
+	case KindThreadEnd:
+		how := "halt"
+		if e.Killed {
+			how = "killed"
+		}
+		return "end frame=" + strconv.Itoa(int(e.Frame)) + " (" + how + ")"
+	case KindRotate:
+		return "rotate head=slot" + strconv.FormatInt(e.Aux, 10)
+	default:
+		return "stall " + e.Reason.String()
+	}
 }
 
 // buildSlotSpans correlates Issue events with the Select that commits them
-// and returns one lifetime span per issued instruction, plus the instant
-// events rendered on slot and machine tracks. Decode-executed instructions
-// (branches, thread control) never select; their span covers the single
-// decode cycle.
-func buildSlotSpans(events []Event) ([]slotSpan, []traceEvent) {
-	var spans []slotSpan
-	var instants []traceEvent
-	// pending[slot] holds indexes into spans of issued-but-unselected
-	// instructions, FIFO per pc.
-	pending := map[int][]int{}
-	for _, e := range events {
+// and returns one lifetime span per issued instruction. Decode-executed
+// instructions (branches, thread control) never select; their span covers
+// the single decode cycle.
+func buildSlotSpans(events []Event, names *traceNames) []slotSpan {
+	issues := 0
+	for i := range events {
+		if events[i].Kind == KindIssue {
+			issues++
+		}
+	}
+	spans := make([]slotSpan, 0, issues)
+	// A Select commits the oldest issued-but-unselected instruction of its
+	// slot and pc: pending holds that FIFO per (slot, pc), linked through
+	// slotSpan.next.
+	pending := map[pendingKey]spanFIFO{}
+	for i := range events {
+		e := &events[i]
+		key := pendingKey{int(e.Slot), e.PC}
 		switch e.Kind {
 		case KindIssue:
 			spans = append(spans, slotSpan{
 				start: e.Cycle, end: e.Cycle + 1,
-				name: e.Ins.String(), pc: e.PC, slotID: int(e.Slot),
+				name: names.instruction(e.Ins), pc: e.PC, slotID: key.slot,
 			})
-			pending[int(e.Slot)] = append(pending[int(e.Slot)], len(spans)-1)
+			q := pending[key]
+			if q.tail == 0 {
+				q.head = len(spans)
+			} else {
+				spans[q.tail-1].next = len(spans)
+			}
+			q.tail = len(spans)
+			pending[key] = q
 		case KindSelect:
-			q := pending[int(e.Slot)]
-			for i, idx := range q {
-				if spans[idx].pc == e.PC {
-					end := e.ReadyAt
-					if end <= spans[idx].start {
-						end = spans[idx].start + 1
-					}
-					spans[idx].end = end
-					spans[idx].unit = unitName(e.Unit, int(e.UnitIndex))
-					pending[int(e.Slot)] = append(q[:i], q[i+1:]...)
-					break
-				}
+			q := pending[key]
+			if q.head == 0 {
+				continue
 			}
-		case KindRedirect:
-			instants = append(instants, traceEvent{Name: fmt.Sprintf("redirect→%d", e.PC), Ph: "i",
-				TS: e.Cycle, Pid: slotPIDBase + int(e.Slot), Tid: 0, S: "t"})
-		case KindTrap:
-			instants = append(instants, traceEvent{Name: fmt.Sprintf("trap frame=%d addr=%d", e.Frame, e.Aux), Ph: "i",
-				TS: e.Cycle, Pid: slotPIDBase + int(e.Slot), Tid: 0, S: "p"})
-		case KindBind:
-			instants = append(instants, traceEvent{Name: fmt.Sprintf("bind frame=%d tid=%d", e.Frame, e.Aux), Ph: "i",
-				TS: e.Cycle, Pid: slotPIDBase + int(e.Slot), Tid: 0, S: "t"})
-		case KindThreadEnd:
-			how := "halt"
-			if e.Killed {
-				how = "killed"
+			sp := &spans[q.head-1]
+			end := e.ReadyAt
+			if end <= sp.start {
+				end = sp.start + 1
 			}
-			instants = append(instants, traceEvent{Name: fmt.Sprintf("end frame=%d (%s)", e.Frame, how), Ph: "i",
-				TS: e.Cycle, Pid: slotPIDBase + int(e.Slot), Tid: 0, S: "t"})
-		case KindRotate:
-			instants = append(instants, traceEvent{Name: fmt.Sprintf("rotate head=slot%d", e.Aux), Ph: "i",
-				TS: e.Cycle, Pid: machinePID, Tid: machineTID, S: "p"})
-		case KindStall:
-			instants = append(instants, traceEvent{Name: "stall " + e.Reason.String(), Ph: "i",
-				TS: e.Cycle, Pid: slotPIDBase + int(e.Slot), Tid: 0, S: "t"})
+			sp.end = end
+			sp.unit = names.unit(e.Unit, int(e.UnitIndex))
+			if q.head = sp.next; q.head == 0 {
+				q.tail = 0
+			}
+			pending[key] = q
 		}
 	}
-	return spans, instants
+	return spans
 }
+
+// pendingKey groups issued instructions a Select may commit.
+type pendingKey struct {
+	slot int
+	pc   int64
+}
+
+// spanFIFO is a queue of spans linked through slotSpan.next; head and tail
+// are span indexes plus one, zero when empty.
+type spanFIFO struct{ head, tail int }
 
 // assignLanes packs each slot's spans into the minimal number of
 // non-overlapping lanes (greedy interval partitioning; spans arrive sorted
@@ -245,47 +321,4 @@ func assignLanes(spans []slotSpan, slots int) []int {
 		}
 	}
 	return counts
-}
-
-// traceEncoder streams the traceEvents array without buffering the whole
-// trace in memory.
-type traceEncoder struct {
-	w     io.Writer
-	first bool
-	err   error
-}
-
-func (e *traceEncoder) begin() {
-	e.first = true
-	_, e.err = io.WriteString(e.w, `{"traceEvents":[`)
-}
-
-func (e *traceEncoder) event(ev traceEvent) {
-	if e.err != nil {
-		return
-	}
-	b, err := json.Marshal(ev)
-	if err != nil {
-		e.err = err
-		return
-	}
-	if !e.first {
-		if _, e.err = io.WriteString(e.w, ","); e.err != nil {
-			return
-		}
-	}
-	e.first = false
-	_, e.err = e.w.Write(b)
-}
-
-func (e *traceEncoder) meta(name string, pid, tid int, value string) {
-	e.event(traceEvent{Name: name, Ph: "M", TS: 0, Pid: pid, Tid: tid,
-		Args: map[string]any{"name": value}})
-}
-
-func (e *traceEncoder) end() {
-	if e.err != nil {
-		return
-	}
-	_, e.err = io.WriteString(e.w, `]}`)
 }

@@ -28,14 +28,18 @@ type Profile struct {
 func (c *Collector) Profile() Profile {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	p := Profile{PCs: make([]PCStat, 0, len(c.profile)), Dropped: c.dropped}
+	p := Profile{PCs: []PCStat{}, Dropped: c.dropped}
 	for _, st := range c.profile {
-		p.PCs = append(p.PCs, *st)
+		// Every observer call counts one of these, so a row without them
+		// was never touched.
+		if st.Issues == 0 && st.Selects == 0 && st.Completes == 0 && st.StallCycles == 0 {
+			continue
+		}
+		p.PCs = append(p.PCs, st)
 		p.TotalIssues += st.Issues
 		p.TotalBusy += st.BusyCycles
 		p.TotalStalls += st.StallCycles
 	}
-	sort.Slice(p.PCs, func(i, j int) bool { return p.PCs[i].PC < p.PCs[j].PC })
 	return p
 }
 

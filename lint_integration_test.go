@@ -1,6 +1,7 @@
 package hirata_test
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -157,5 +158,69 @@ func TestStrictVerify(t *testing.T) {
 	}
 	if _, err := hirata.RunRISC(hirata.RISCConfig{StrictVerify: true}, good.Text, hirata.NewMemory(16)); err != nil {
 		t.Errorf("RunRISC(StrictVerify) rejected a clean program: %v", err)
+	}
+}
+
+// TestStrictVerifyEveryRunMT runs every RunMT variant on a deadlocked
+// fixture with StrictVerify set: run as one thread from pc 0, its queue pop
+// has no producer (L006). Each variant must refuse it before simulating,
+// with the same diagnostics RunMT gives.
+func TestStrictVerifyEveryRunMT(t *testing.T) {
+	src, err := os.ReadFile(filepath.Join("cmd", "hirata-lint", "testdata", "deadlock.s"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := hirata.Assemble(string(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A small MaxCycles keeps a variant that skips the gate from spinning
+	// for long before it fails differently.
+	cfg := hirata.MTConfig{StrictVerify: true, MaxCycles: 10000}
+	variants := []struct {
+		name string
+		run  func() error
+	}{
+		{"RunMT", func() error {
+			_, err := hirata.RunMT(cfg, p.Text, hirata.NewMemory(64))
+			return err
+		}},
+		{"RunMTTraced", func() error {
+			_, err := hirata.RunMTTraced(cfg, p.Text, hirata.NewMemory(64), io.Discard)
+			return err
+		}},
+		{"RunMTObserved", func() error {
+			col := hirata.NewCollector(cfg, hirata.CollectorOptions{})
+			_, err := hirata.RunMTObserved(cfg, p.Text, hirata.NewMemory(64), []hirata.Observer{col})
+			return err
+		}},
+		{"RunMTHostProfiled", func() error {
+			prof := hirata.NewHostProfiler(hirata.HostProfilerOptions{})
+			_, err := hirata.RunMTHostProfiled(cfg, p.Text, hirata.NewMemory(64), prof)
+			return err
+		}},
+		{"RunMTProfiledObserved", func() error {
+			col := hirata.NewCollector(cfg, hirata.CollectorOptions{})
+			prof := hirata.NewHostProfiler(hirata.HostProfilerOptions{})
+			_, err := hirata.RunMTProfiledObserved(cfg, p.Text, hirata.NewMemory(64), []hirata.Observer{col}, prof)
+			return err
+		}},
+	}
+	var want string
+	for _, v := range variants {
+		err := v.run()
+		if err == nil {
+			t.Errorf("%s(StrictVerify) ran a deadlocked program", v.name)
+			continue
+		}
+		if !strings.Contains(err.Error(), "strict verify") || !strings.Contains(err.Error(), "L006") {
+			t.Errorf("%s: want a strict-verify refusal carrying L006, got: %v", v.name, err)
+			continue
+		}
+		if want == "" {
+			want = err.Error()
+		} else if err.Error() != want {
+			t.Errorf("%s refusal differs from RunMT's:\n%v\nwant:\n%s", v.name, err, want)
+		}
 	}
 }
