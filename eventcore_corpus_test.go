@@ -1,17 +1,15 @@
 package hirata_test
 
-// Event-core differential over the MinC fuzz corpus: every corpus entry
-// that compiles and runs must produce a bit-identical Result and memory
-// image on the legacy scan loop and the event-driven core. The fuzzer's
-// job is to find control shapes the curated examples miss (degenerate
-// loops, dead branches, deep expression spills); whatever it keeps must
-// not tell the two cores apart.
+// Pinned runs over the MinC fuzz corpus: every corpus entry that compiles
+// must reproduce its golden under testdata/pinned — Result, memory image,
+// and, for runaway or deadlocked entries, the error at the same cycle. The
+// fuzzer's job is to find control shapes the curated examples miss
+// (degenerate loops, dead branches, deep expression spills).
 
 import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
 
 	"hirata"
@@ -41,52 +39,22 @@ func TestEventCoreDifferentialFuzzCorpus(t *testing.T) {
 		}
 		for _, slots := range []int{1, 4} {
 			slots := slots
-			t.Run(fmt.Sprintf("%s/S%d", e.Name(), slots), func(t *testing.T) {
-				type outcome struct {
-					res hirata.MTResult
-					err string
-					mem []uint64
+			name := fmt.Sprintf("%s/S%d", e.Name(), slots)
+			t.Run(name, func(t *testing.T) {
+				cfg := hirata.MTConfig{
+					ThreadSlots:     slots,
+					LoadStoreUnits:  2,
+					StandbyStations: true,
+					MaxCycles:       2_000_000,
 				}
-				var got [2]outcome
-				for i, disable := range []bool{true, false} {
-					cfg := hirata.MTConfig{
-						ThreadSlots:      slots,
-						LoadStoreUnits:   2,
-						StandbyStations:  true,
-						MaxCycles:        2_000_000,
-						DisableEventCore: disable,
-					}
+				hirata.RunPinned(t, "fuzz_corpus/"+name, cfg, prog.Text, func() (*hirata.Memory, error) {
 					m, err := prog.NewMemory(4096)
 					if err != nil {
 						t.Skipf("memory: %v", err)
 					}
 					hirata.SetMinCThreads(prog, m, slots)
-					res, err := hirata.RunMT(cfg, prog.Text, m)
-					got[i].res = res
-					if err != nil {
-						// Runaway/deadlock corpus entries must fail the same
-						// way on both cores, at the same cycle.
-						got[i].err = err.Error()
-					}
-					words := make([]uint64, m.Size())
-					for a := int64(0); a < m.Size(); a++ {
-						v, lerr := m.Load(a)
-						if lerr != nil {
-							t.Fatal(lerr)
-						}
-						words[a] = v
-					}
-					got[i].mem = words
-				}
-				if got[0].err != got[1].err {
-					t.Fatalf("error differs between cores:\n  legacy: %q\n  event:  %q", got[0].err, got[1].err)
-				}
-				if !reflect.DeepEqual(got[0].res, got[1].res) {
-					t.Errorf("Result differs between cores:\n  legacy: %+v\n  event:  %+v", got[0].res, got[1].res)
-				}
-				if !reflect.DeepEqual(got[0].mem, got[1].mem) {
-					t.Error("final memory image differs between cores")
-				}
+					return m, nil
+				})
 			})
 		}
 	}
