@@ -44,11 +44,13 @@ lint-bounds:
 	$(GO) run ./cmd/hirata-lint -bound examples/programs
 	$(GO) test -run 'TestWorkloadsDeadlockClean|TestBoundExamples|TestBoundWorkloads' .
 
-# Short fuzz sessions against the MinC compiler and the trace encoder (CI
-# runs seeds only).
+# Short fuzz sessions against the MinC compiler, the trace encoder and the
+# cycle core (go test runs every seed corpus; CI also fuzzes the core for
+# 20 s).
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzCompile -fuzztime 30s ./internal/minc/
 	$(GO) test -run xxx -fuzz FuzzTraceEvent -fuzztime 30s ./internal/obs/
+	$(GO) test -run xxx -fuzz FuzzCore -fuzztime 30s ./internal/core/
 
 fmt:
 	gofmt -w .

@@ -226,22 +226,10 @@ func RunMT(cfg MTConfig, text []Instruction, m *Memory, startPCs ...int64) (MTRe
 
 // RunMTTraced is RunMT with a cycle-by-cycle pipeline event trace written
 // to w (issues, schedule-unit selections, redirects, binds, traps,
-// priority rotations, thread ends).
+// priority rotations, thread ends): RunMTObserved with a TextTracer as the
+// single observer, so an attached run ledger records it like any run.
 func RunMTTraced(cfg MTConfig, text []Instruction, m *Memory, w io.Writer, startPCs ...int64) (MTResult, error) {
-	if err := verifyForRun(cfg, text, m, startPCs); err != nil {
-		return MTResult{}, err
-	}
-	p, err := core.New(cfg, text, m)
-	if err != nil {
-		return MTResult{}, err
-	}
-	p.Observe(&core.TextTracer{W: w})
-	for _, pc := range startPCs {
-		if err := p.StartThread(pc); err != nil {
-			return MTResult{}, err
-		}
-	}
-	return p.Run()
+	return RunMTObserved(cfg, text, m, []Observer{&core.TextTracer{W: w}}, startPCs...)
 }
 
 // Observability (see internal/obs and docs/OBSERVABILITY.md).
@@ -338,8 +326,8 @@ type (
 	HostProfilerOptions = hostobs.Options
 	// HostPhaseProfile is the aggregated per-phase wall-time breakdown.
 	HostPhaseProfile = hostobs.PhaseProfile
-	// HostOpportunityReport quantifies scanned-but-unchanged structure
-	// visits — the work an event-driven core (ROADMAP item 2) would skip.
+	// HostOpportunityReport is the touch census of the event-driven core's
+	// dirty sets: structure visits, the hits among them, and the waste.
 	HostOpportunityReport = hostobs.OpportunityReport
 	// HostExport bundles profiler and sweep recorder behind /hostmetrics.
 	HostExport = hostobs.Export

@@ -85,7 +85,6 @@ var canonicalFields = []canonicalField{
 var canonicalExcluded = map[string]string{
 	"MaxCycles":        "abort limit only: a completed run's Result is identical under any limit it fits in; aborted runs return an error and are never recorded",
 	"DisableCycleSkip": "quiescent-cycle skipping is cycle-exact (differential_test.go); the flag selects the reference path, not a different machine",
-	"DisableEventCore": "the event-driven core is bit-identical to the legacy scan core (TestEventCoreDifferential*); the flag selects the reference path, not a different machine",
 	"StrictVerify":     "gates whether a run starts, never what a completed run computes",
 }
 

@@ -75,55 +75,29 @@ func (c *issueCtx) Load(addr int64) (uint64, error)  { return c.p.mem.Load(addr)
 func (c *issueCtx) Store(addr int64, v uint64) error { return c.p.mem.Store(addr, v) }
 func (c *issueCtx) TID() int                         { return int(c.f.tid) }
 
-// decodePhase runs every decode unit for one cycle (stage D2): dependence
-// checks via scoreboarding, queue-register full/empty interlocks, priority
-// interlocks, branch resolution, and issue into standby stations. Running
-// slots are the decode dirty set — only they hold decodable state or
-// accrue stall statistics — so the event core returns immediately when
-// none exist; a census visit is a running slot's window examination.
-func (p *Processor) decodePhase() error {
-	if p.eventCore && p.runningSlots == 0 {
-		return nil
-	}
-	p.issueBudget = p.cfg.MaxIssuePerCycle
-	if p.issueBudget <= 0 {
-		p.issueBudget = 1 << 30 // unbounded: simultaneous issue
-	}
-	for _, slotID := range p.prio {
-		s := p.slots[slotID]
-		if s.state != slotRunning {
-			continue
-		}
-		if p.hostSampled {
-			p.touchSmp.SlotVisits++
-		}
-		if p.issueBudget <= 0 {
-			break
-		}
-		if err := p.issueFromSlot(s); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// decodeAndAdvance fuses decodePhase and advanceDecodeStages into one pass
-// over the priority list, touching each running slot's hot fields once per
-// cycle instead of twice. It runs only on unsampled event-core steps:
-// sampled steps keep the split phases so the host probe's issue/decode
-// timing attribution and the touch census match the documented taxonomy.
+// decodeAndAdvance is the decode stage for one cycle, in one pass over the
+// priority list. Each running slot first issues from its D2 window —
+// dependence checks via scoreboarding, queue-register full/empty
+// interlocks, priority interlocks, branch resolution, and issue into
+// standby stations — and then advances its buffer→D1→D2 stages. Running
+// slots are the decode dirty set (only they hold decodable state or accrue
+// stall statistics), so the pass returns immediately when none exist. A
+// census visit is a running slot's issue examination — up to and including
+// the first slot that finds the cycle's issue budget spent — plus each
+// advance that can move something.
 //
-// The fusion is result-neutral. A slot's own issue still precedes its own
-// advance, and advance mutates only slot-local state plus the slot's
-// fetchable bit, none of which issue on another slot reads (cross-slot
-// issue effects — kills, queue traffic, priority interlocks — consult
-// slot states, queues, and scoreboards, never decode-stage contents). A
-// slot killed by an earlier-priority slot after advancing is flushed
-// wholesale, erasing the advance exactly as the split ordering would have
-// skipped it. The one iteration hazard is a change-priority instruction
-// rotating p.prio mid-loop; the advanced bitmask plus the rotation-count
-// check below guarantee every still-running slot advances exactly once
-// regardless, matching the split core's index-order sweep.
+// Interleaving issue and advance slot by slot is sound because a slot's
+// own issue precedes its own advance, and advance mutates only slot-local
+// state plus the slot's fetchable bit, none of which issue on another slot
+// reads (cross-slot issue effects — kills, queue traffic, priority
+// interlocks — consult slot states, queues, and scoreboards, never
+// decode-stage contents). A slot killed by a later slot after advancing is
+// flushed wholesale. The one iteration hazard is a change-priority
+// instruction rotating p.prio mid-loop; the advanced bitmask plus the
+// rotation-count check below guarantee every still-running slot advances
+// exactly once regardless. Issue has no such guard: in that cycle the
+// rotating slot is visited again and the slot rotated past it is not
+// (ROADMAP item 2(d)); the pinned results include this behaviour.
 func (p *Processor) decodeAndAdvance() error {
 	if p.runningSlots == 0 {
 		return nil
@@ -135,19 +109,24 @@ func (p *Processor) decodeAndAdvance() error {
 	w := p.cfg.IssueWidth
 	rot := p.rotCount
 	var advanced uint64
+	issuing := true // until a running slot finds the issue budget spent
 	for _, slotID := range p.prio {
 		s := p.slots[slotID]
 		if s.state != slotRunning {
 			continue
 		}
-		if p.issueBudget > 0 {
-			if err := p.issueFromSlot(s); err != nil {
+		if issuing {
+			if p.hostSampled {
+				p.touchSmp.SlotVisits++
+			}
+			if p.issueBudget <= 0 {
+				issuing = false
+			} else if err := p.issueFromSlot(s); err != nil {
 				return err
 			}
 		}
 		// Re-check the state: the slot may have halted or been flushed to
-		// idle by its own issue, in which case the split advance pass
-		// would not have visited it either.
+		// idle by its own issue, leaving nothing to advance.
 		if s.state == slotRunning && advanced&(1<<uint(slotID)) == 0 {
 			advanced |= 1 << uint(slotID)
 			p.advanceSlot(s, w)
@@ -184,7 +163,7 @@ func (p *Processor) issueFromSlot(s *slot) error {
 	if p.cfg.IssueWidth == 1 {
 		// The paper's base design: the window holds a single candidate, so
 		// none of the wide path's intra-window hazard bookkeeping applies.
-		// decodePhase guarantees issueBudget > 0 on entry.
+		// decodeAndAdvance guarantees issueBudget > 0 on entry.
 		if s.stallUntil != 0 {
 			// The head is scoreboard-blocked and nothing that could unblock
 			// it has happened (see cacheHeadStall): tally the stall without

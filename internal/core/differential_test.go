@@ -2,11 +2,13 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"hirata/internal/asm"
 	"hirata/internal/exec"
 	"hirata/internal/isa"
+	"hirata/internal/lint"
 	"hirata/internal/mem"
 )
 
@@ -68,12 +70,17 @@ func genStructuredProgram(rng *rand.Rand) []isa.Instruction {
 	return prog
 }
 
-// TestRandomProgramsMatchInterpreter is the machine-level differential
-// property: for random structured programs and every interesting machine
-// shape, the multithreaded processor computes exactly what the functional
-// interpreter computes.
-func TestRandomProgramsMatchInterpreter(t *testing.T) {
-	rng := rand.New(rand.NewSource(2026))
+// FuzzCore is the machine-level differential property: for random
+// structured programs (the fuzz input seeds genStructuredProgram) and every
+// interesting machine shape, the multithreaded processor computes exactly
+// what the functional interpreter computes, takes no fewer cycles than the
+// static lower bound certifies, and produces the identical Result with
+// quiescent-cycle skipping disabled and with a host probe sampling every
+// step. Neither of those knobs may change what the machine does.
+func FuzzCore(f *testing.F) {
+	for seed := int64(0); seed < 60; seed++ {
+		f.Add(seed)
+	}
 	shapes := []Config{
 		{ThreadSlots: 1, StandbyStations: true},
 		{ThreadSlots: 1, StandbyStations: false},
@@ -83,43 +90,64 @@ func TestRandomProgramsMatchInterpreter(t *testing.T) {
 		{ThreadSlots: 1, StandbyStations: false, IssueWidth: 2},
 		{ThreadSlots: 1, StandbyStations: true, PrivateICache: true},
 		{ThreadSlots: 1, StandbyStations: true, RotationInterval: 1},
+		{ThreadSlots: 4, StandbyStations: true},
+		{ThreadSlots: 8, StandbyStations: true},
 	}
-	for trial := 0; trial < 60; trial++ {
-		prog := genStructuredProgram(rng)
-
-		golden := mem.NewMemory(256)
+	newMem := func() *mem.Memory {
+		m := mem.NewMemory(256)
 		for a := int64(64); a < 128; a++ {
-			golden.SetInt(a, a*17%101)
+			m.SetInt(a, a*17%101)
 		}
-		ip := exec.NewInterp(prog, golden)
-		if err := ip.Run(); err != nil {
-			t.Fatalf("trial %d: interp: %v", trial, err)
+		return m
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		prog := genStructuredProgram(rand.New(rand.NewSource(seed)))
+		golden := newMem()
+		if err := exec.NewInterp(prog, golden).Run(); err != nil {
+			t.Fatalf("interp: %v", err)
 		}
-
 		for si, cfg := range shapes {
-			m := mem.NewMemory(256)
-			for a := int64(64); a < 128; a++ {
-				m.SetInt(a, a*17%101)
+			run := func(c Config, probe HostProbe) (Result, *mem.Memory) {
+				m := newMem()
+				p, err := New(c, prog, m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if probe != nil {
+					p.SetHostProbe(probe)
+				}
+				res, err := p.Run()
+				if err != nil {
+					t.Fatalf("shape %d: %v", si, err)
+				}
+				return res, m
 			}
-			p, err := New(cfg, prog, m)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := p.StartThread(0); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := p.Run(); err != nil {
-				t.Fatalf("trial %d shape %d: %v", trial, si, err)
-			}
+			res, m := run(cfg, nil)
 			for a := int64(64); a < 128; a++ {
 				gw, _ := golden.Load(a)
 				mw, _ := m.Load(a)
 				if gw != mw {
-					t.Fatalf("trial %d shape %d: mem[%d] = %#x, interp %#x", trial, si, a, mw, gw)
+					t.Fatalf("shape %d: mem[%d] = %#x, interp %#x", si, a, mw, gw)
 				}
 			}
+			eff := cfg.Effective()
+			machine := lint.Machine{ThreadSlots: eff.ThreadSlots, IssueWidth: eff.IssueWidth, MaxIssuePerCycle: eff.MaxIssuePerCycle}
+			for u := isa.UnitClass(1); int(u) <= isa.NumUnitClasses; u++ {
+				machine.Units[u] = eff.UnitCount(u)
+			}
+			if b := lint.ComputeBounds(prog, nil, machine); b.Bound < 0 || uint64(b.Bound) > res.Cycles {
+				t.Fatalf("shape %d: static lower bound %d exceeds measured %d cycles", si, b.Bound, res.Cycles)
+			}
+			stepped := cfg
+			stepped.DisableCycleSkip = true
+			if got, _ := run(stepped, nil); !reflect.DeepEqual(got, res) {
+				t.Fatalf("shape %d: Result differs with cycle skip disabled:\n  skip:    %+v\n  stepped: %+v", si, res, got)
+			}
+			if got, _ := run(cfg, &countingProbe{sample: true}); !reflect.DeepEqual(got, res) {
+				t.Fatalf("shape %d: Result differs under a host probe sampling every step:\n  plain:   %+v\n  sampled: %+v", si, res, got)
+			}
 		}
-	}
+	})
 }
 
 // TestJalJrOnCore exercises call/return through the pipeline.

@@ -80,9 +80,6 @@ func TestEventHorizonNeverLate(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !p.eventCore {
-				t.Fatal("event core not enabled by default")
-			}
 			for i := 0; i < tc.threads; i++ {
 				if err := p.StartThread(0); err != nil {
 					t.Fatal(err)
@@ -119,4 +116,68 @@ func TestEventHorizonNeverLate(t *testing.T) {
 			}
 		})
 	}
+}
+
+// quiescentHorizonScan is the structural horizon, the reference
+// TestEventHorizonNeverLate holds quiescentHorizonEvent to: the minimum over
+// every resource that can wake the pipeline (docs/PERFORMANCE.md tabulates
+// them). Idle fetch units need no bound: startFetch only serves running
+// slots. No event at all means a genuine deadlock, reported at MaxCycles.
+func (p *Processor) quiescentHorizonScan() uint64 {
+	floor := p.cycle + 1
+	t := uint64(noEvent)
+
+	if p.outstanding > 0 {
+		for d := uint64(1); d <= p.compMask+1; d++ {
+			if len(p.completions[(p.cycle+d)&p.compMask]) > 0 {
+				t = minEvent(t, p.cycle+d)
+				break
+			}
+		}
+	}
+	if len(p.waitHeap) > 0 {
+		t = minEvent(t, maxU(p.waitHeap[0].when, floor))
+	}
+	if len(p.readyQ) > 0 {
+		for _, s := range p.slots {
+			if s.state == slotIdle {
+				t = minEvent(t, maxU(s.bindReadyAt, floor))
+			}
+		}
+	}
+	if p.issuedPending > 0 {
+		var classes [unitClassCount]bool
+		for _, s := range p.slots {
+			if s.latch != nil {
+				classes[s.latch.class] = true
+			}
+			for cls, st := range s.standby {
+				if len(st) > 0 {
+					classes[cls] = true
+				}
+			}
+		}
+		for cls, need := range classes {
+			if !need {
+				continue
+			}
+			for _, u := range p.unitsByCls[cls] {
+				t = minEvent(t, maxU(u.busyUntil+1, floor))
+			}
+		}
+	}
+	for _, s := range p.slots {
+		if s.state == slotDraining && s.outstanding == 0 && s.issuedEmpty() {
+			t = minEvent(t, floor) // unbinds at the next bindSlots
+		}
+	}
+	for _, fu := range p.fetchers {
+		if fu.busy {
+			t = minEvent(t, maxU(fu.busyUntil, floor))
+		}
+	}
+	if t == noEvent {
+		return p.cfg.MaxCycles
+	}
+	return t
 }

@@ -7,31 +7,16 @@ func (p *Processor) fetcherFor(slotID int) *fetchUnit {
 	return p.fetchers[slotID%len(p.fetchers)]
 }
 
-// advanceDecodeStages moves instructions D1→D2 and buffer→D1. Each stage
-// holds up to IssueWidth instructions and advances once per cycle, so an
-// instruction spends one cycle in each decode stage. D1 occupants are not
-// copied anywhere: the first d1n ring entries ARE stage D1, so entering D1
-// is a counter increment and only the D1→D2 move materializes the dinstr.
-// Slots that provably cannot move anything — nothing upstream, or both
-// stages full — are filtered by O(1) state checks on both cores
-// (result-neutral: the loops below would be no-ops for them).
-func (p *Processor) advanceDecodeStages() {
-	if p.eventCore && p.runningSlots == 0 {
-		return
-	}
-	w := p.cfg.IssueWidth
-	for _, s := range p.slots {
-		if s.state != slotRunning {
-			continue
-		}
-		p.advanceSlot(s, w)
-	}
-}
-
-// advanceSlot advances one running slot's decode stages by one cycle. The
-// move set is slot-local (own buffer, D1 counter, D2 window, and the
-// slot's bit in the fetchable set), which is what lets decodeAndAdvance
-// interleave it with issue on other slots without changing results.
+// advanceSlot advances one running slot's decode stages by one cycle:
+// D1→D2, then buffer→D1. Each stage holds up to IssueWidth (w)
+// instructions and advances once per cycle, so an instruction spends one
+// cycle in each decode stage. D1 occupants are not copied anywhere: the
+// first d1n ring entries ARE stage D1, so entering D1 is a counter
+// increment and only the D1→D2 move materializes the dinstr. Slots that
+// provably cannot move anything — nothing upstream, or both stages full —
+// return after O(1) checks. The move set is slot-local (own buffer, D1
+// counter, D2 window, and the slot's bit in the fetchable set), which is
+// what lets decodeAndAdvance interleave it with issue on other slots.
 func (p *Processor) advanceSlot(s *slot, w int) {
 	if s.buf.len() == 0 {
 		return // D1 and the buffer are both empty: nothing to move in
@@ -65,11 +50,11 @@ func (p *Processor) advanceSlot(s *slot, w int) {
 // fetchPhase advances every instruction fetch unit: finish in-flight cache
 // accesses (delivering B = S×C×D instructions into the target slot's
 // instruction queue buffer) and start the next access. Branch redirects
-// preempt the round-robin fill order (§2.1.1). The event core's work set
-// is busy units (a timed event), pending redirects, and the fetchable
+// preempt the round-robin fill order (§2.1.1). The phase's work set is
+// busy units (a timed event), pending redirects, and the fetchable
 // dirty set; with all three empty the phase is a no-op.
 func (p *Processor) fetchPhase() {
-	if p.eventCore && p.busyFetchers == 0 && p.pendingRedirects == 0 && p.fetchable == 0 {
+	if p.busyFetchers == 0 && p.pendingRedirects == 0 && p.fetchable == 0 {
 		return
 	}
 	for i, fu := range p.fetchers {
@@ -83,7 +68,7 @@ func (p *Processor) fetchPhase() {
 			p.deliver(fu)
 			continue // the unit restarts next cycle
 		}
-		if p.eventCore && len(fu.redirects) == 0 && p.fetchable&fu.slotMask == 0 {
+		if len(fu.redirects) == 0 && p.fetchable&fu.slotMask == 0 {
 			continue
 		}
 		if p.hostSampled {
@@ -158,7 +143,7 @@ func (p *Processor) startFetch(fuIndex int, fu *fetchUnit) {
 		if id%units != fuIndex {
 			continue
 		}
-		if p.eventCore && p.fetchable&slotBit(id) == 0 {
+		if p.fetchable&slotBit(id) == 0 {
 			continue // not in the dirty set: cannot want a fill
 		}
 		if p.hostSampled {

@@ -25,21 +25,20 @@ package core
 type HostPhase uint8
 
 const (
-	HostPhaseRotation     HostPhase = iota // rotatePriorities
-	HostPhaseCompletion                    // retireCompletions
-	HostPhaseWake                          // wakeFrames
-	HostPhaseBind                          // bindSlots
-	HostPhaseSelect                        // schedulePhase (instruction schedule units)
-	HostPhaseIssue                         // decodePhase (decode units, stage D2)
-	HostPhaseDecodeBuffer                  // advanceDecodeStages (buffer→D1→D2)
-	HostPhaseFetch                         // fetchPhase (instruction fetch units)
-	HostPhaseSkip                          // advanceCycle event-horizon machinery (only when it arms)
+	HostPhaseRotation   HostPhase = iota // rotatePriorities
+	HostPhaseCompletion                  // retireCompletions
+	HostPhaseWake                        // wakeFrames
+	HostPhaseBind                        // bindSlots
+	HostPhaseSelect                      // schedulePhase (instruction schedule units)
+	HostPhaseDecode                      // decodeAndAdvance (issue from D2, then buffer→D1→D2)
+	HostPhaseFetch                       // fetchPhase (instruction fetch units)
+	HostPhaseSkip                        // advanceCycle event-horizon machinery (only when it arms)
 	NumHostPhases
 )
 
 var hostPhaseNames = [NumHostPhases]string{
 	"rotation", "completion", "wake", "bind", "issue-select",
-	"decode-issue", "decode-buffer", "fetch", "event-horizon",
+	"decode", "fetch", "event-horizon",
 }
 
 // String returns the stable phase name used in profiles, traces and
@@ -58,12 +57,9 @@ func (ph HostPhase) String() string {
 // queue entry, or tallying a per-cycle architectural stall: the tally is
 // state the machine must record, so recording it is the visit's work).
 //
-// On the event-driven core (event.go) the visit count is what the dirty
-// sets let through, so hits/visits is the dirty-set *hit rate*. On the
-// legacy scan core (Config.DisableEventCore) the same counting sites see
-// every entry the full scan walks, so 1 − hits/visits is the scan *waste*
-// the event core eliminates. The two runs are directly comparable because
-// the hit sites are identical in both modes.
+// The visit count is what the event-driven core's dirty sets (event.go)
+// let through, so hits/visits is the dirty-set *hit rate* and
+// 1 − hits/visits the waste they still admit.
 type TouchSample struct {
 	Cycle        uint64
 	RunningSlots uint64 // slots in slotRunning at step start

@@ -69,7 +69,7 @@ func (c *countingProbe) RunEnd(cycles, steps uint64) {
 	}
 }
 
-// TestHostProbePhaseOrder checks that a sampled step reports the eight
+// TestHostProbePhaseOrder checks that a sampled step reports the seven
 // in-step phases in pipeline order — with HostPhaseSkip appearing only on
 // steps where the event-horizon machinery armed, never on ordinary steps —
 // and that declining the sample suppresses PhaseEnd and StepEnd entirely
@@ -99,10 +99,10 @@ func TestHostProbePhaseOrder(t *testing.T) {
 	}
 	wantOrder := []HostPhase{
 		HostPhaseRotation, HostPhaseCompletion, HostPhaseWake, HostPhaseBind,
-		HostPhaseSelect, HostPhaseIssue, HostPhaseDecodeBuffer, HostPhaseFetch,
+		HostPhaseSelect, HostPhaseDecode, HostPhaseFetch,
 	}
 	// phases holds the callbacks since the final StepStart: exactly the
-	// eight in-step phases. The final step exits Run before advanceCycle, so
+	// seven in-step phases. The final step exits Run before advanceCycle, so
 	// no event-horizon report may trail it — that phase is charged only on
 	// steps where the horizon machinery actually armed.
 	if len(sampled.phases) != len(wantOrder) {

@@ -142,7 +142,7 @@ type slot struct {
 	fetchPC     int64
 	fetchGen    uint64      // invalidates in-flight fetches after a flush
 	fetchDone   bool        // fetchPC ran past the program end
-	d1n         int         // buffer-front entries occupying decode stage D1 (see advanceDecodeStages)
+	d1n         int         // buffer-front entries occupying decode stage D1 (see advanceSlot)
 	stallUntil  uint64      // head-of-D2 stall deadline, 0 = none (see cacheHeadStall)
 	stallReason StallReason // cached stall's per-cycle tally reason
 	d2          []dinstr
@@ -244,15 +244,11 @@ type Processor struct {
 	nextRotation  uint64      // next implicit-rotation boundary (multiple of RotationInterval)
 	stepsExecuted uint64      // stepCycle invocations (cycle-skip effectiveness metric)
 
-	// Event-driven dirty sets (event.go). eventCore is the master switch
-	// (!Config.DisableEventCore); evNear/evFar form the pending-event set
-	// (a 64-cycle timing-wheel bitmap plus an overflow min-heap) holding
-	// future cycles at which timed state changes; classMask[cls], classDirty
-	// and fetchable are per-structure dirty bitmaps maintained at the
-	// mutation sites. The masks are maintained on both cores (cheap bit
-	// ops) but only consulted when eventCore is set, so the legacy path
-	// scans exactly as the original loop did.
-	eventCore        bool
+	// Event-driven dirty sets (event.go): evNear/evFar form the pending-
+	// event set (a 64-cycle timing-wheel bitmap plus an overflow min-heap)
+	// holding future cycles at which timed state changes; classMask[cls],
+	// classDirty and fetchable are per-structure dirty bitmaps maintained at
+	// the mutation sites.
 	evNear           uint64                 // bit k = event at cycle+1+k (k < 64)
 	evFar            []uint64               // min-heap of events beyond the near window
 	classMask        [unitClassCount]uint64 // slots with issued-but-unselected work, per class
@@ -451,7 +447,6 @@ func New(cfg Config, prog []isa.Instruction, m *mem.Memory) (*Processor, error) 
 		p.fetchers = append(p.fetchers, fu)
 	}
 	p.explicit = cfg.ExplicitRotation
-	p.eventCore = !cfg.DisableEventCore
 	p.stats.Slots = make([]SlotStat, cfg.ThreadSlots)
 	p.initQueues()
 	return p, nil
@@ -507,7 +502,7 @@ func (p *Processor) setFrameState(f *contextFrame, st frameState) {
 // A transition out of slotRunning schedules an event for the next cycle:
 // it may expose a fully-drained slot to the unbind check, a ready frame to
 // an idle slot, or a standby entry to an idle unit — all at cycle+1,
-// exactly where the legacy horizon scan's floor-collapse cases land.
+// exactly where the structural horizon scan's floor-collapse cases land.
 func (p *Processor) setSlotState(s *slot, st slotState) {
 	if s.state == slotRunning && st != slotRunning {
 		p.pushEv(p.cycle + 1)
@@ -655,24 +650,11 @@ func (p *Processor) stepCycle() error {
 	if p.hostSampled {
 		p.hostProbe.PhaseEnd(HostPhaseSelect)
 	}
-	if p.eventCore && !p.hostSampled {
-		// Fused issue+advance pass (result-identical, one slot sweep).
-		// Sampled steps take the split phases below so the probe's
-		// issue/decode-buffer attribution and census stay meaningful.
-		if err := p.decodeAndAdvance(); err != nil {
-			return err
-		}
-	} else {
-		if err := p.decodePhase(); err != nil {
-			return err
-		}
-		if p.hostSampled {
-			p.hostProbe.PhaseEnd(HostPhaseIssue)
-		}
-		p.advanceDecodeStages()
-		if p.hostSampled {
-			p.hostProbe.PhaseEnd(HostPhaseDecodeBuffer)
-		}
+	if err := p.decodeAndAdvance(); err != nil {
+		return err
+	}
+	if p.hostSampled {
+		p.hostProbe.PhaseEnd(HostPhaseDecode)
 	}
 	p.fetchPhase()
 	if p.hostSampled {
@@ -683,32 +665,13 @@ func (p *Processor) stepCycle() error {
 }
 
 // finished reports whether the simulation is complete. It consults only
-// live counters — O(1) per cycle instead of the frame+slot scan it
-// replaced (kept as finishedScan for the invariant test). Decode stages of
+// live counters — O(1) per cycle instead of a frame+slot scan (the scan
+// survives as the invariant test's reference). Decode stages of
 // non-idle slots need no separate check: d1/d2 are flushed on every
 // transition to idle, and non-idle slots show up in the slot counters.
 func (p *Processor) finished() bool {
 	return p.outstanding == 0 && p.issuedPending == 0 && len(p.readyQ) == 0 &&
 		p.liveFrames == 0 && p.runningSlots == 0 && p.drainingSlots == 0
-}
-
-// finishedScan is the original full-scan implementation of finished. Tests
-// assert it agrees with the counter version every cycle.
-func (p *Processor) finishedScan() bool {
-	if p.outstanding > 0 || len(p.readyQ) > 0 {
-		return false
-	}
-	for _, f := range p.frames {
-		if f.state == frameRunning || f.state == frameWaiting || f.state == frameReady {
-			return false
-		}
-	}
-	for _, s := range p.slots {
-		if s.state != slotIdle || s.d1n+len(s.d2) > 0 || !s.issuedEmpty() {
-			return false
-		}
-	}
-	return true
 }
 
 // rotatePriorities applies implicit-rotation mode (§2.2). Rotation
@@ -800,14 +763,13 @@ func (p *Processor) wakeFrames() {
 	}
 }
 
-// bindSlots assigns ready frames to idle slots. The event core gates each
-// loop on its work set: the bind scan needs both a ready frame and an idle
-// slot, the unbind scan needs a draining slot. The gates are exact (the
-// loops are no-ops without those conditions), so legacy and event cores
-// bind identically.
+// bindSlots assigns ready frames to idle slots. Each loop is gated on its
+// work set: the bind scan needs both a ready frame and an idle slot, the
+// unbind scan needs a draining slot. The gates are exact: the loops are
+// no-ops without those conditions.
 func (p *Processor) bindSlots() {
 	idleSlots := len(p.slots) - p.runningSlots - p.drainingSlots
-	if !p.eventCore || (len(p.readyQ) > 0 && idleSlots > 0) {
+	if len(p.readyQ) > 0 && idleSlots > 0 {
 		for _, s := range p.slots {
 			if p.hostSampled {
 				p.touchSmp.SlotVisits++
@@ -822,7 +784,7 @@ func (p *Processor) bindSlots() {
 	}
 	// Complete pending context switches: a draining slot unbinds once its
 	// issued instructions have been performed (§2.1.3).
-	if !p.eventCore || p.drainingSlots > 0 {
+	if p.drainingSlots > 0 {
 		for _, s := range p.slots {
 			if s.state != slotDraining {
 				continue

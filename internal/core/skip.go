@@ -14,12 +14,11 @@ import "math/bits"
 // skipped, provided priority rotation is fast-forwarded the same number of
 // boundaries.
 //
-// On the event core (event.go), the jump is the degenerate case of the
-// pending-event heap: with the per-cycle dirty sets empty, the horizon is
-// simply the earliest pending event (heap top, folded with the frame wake
-// heap). The structural scan below (quiescentHorizonScan) survives as the
-// legacy fallback and as the cross-check reference the event-heap tests
-// compare against.
+// The jump is the degenerate case of the event-driven core's pending-event
+// set (event.go): with the per-cycle dirty sets empty, the horizon is
+// simply the earliest pending event (wheel or heap top, folded with the
+// frame wake heap). A structural horizon scan in event_test.go is the
+// reference the event-set tests compare against.
 
 // skipEnabled reports whether quiescent-cycle fast-forwarding is safe.
 // Observers and the OnIssue/OnSelect hooks may watch per-cycle activity
@@ -48,7 +47,7 @@ func (p *Processor) advanceCycle() {
 		p.hostStepDone()
 		return
 	}
-	t := p.quiescentHorizon()
+	t := p.quiescentHorizonEvent()
 	if t > p.cfg.MaxCycles {
 		// Jump to the limit so Run reports the runaway/deadlock error at
 		// the same cycle, with the same statistics, as stepping would.
@@ -104,19 +103,11 @@ func minEvent(t, c uint64) uint64 {
 // noEvent is the horizon sentinel: no resource reports a future event.
 const noEvent = ^uint64(0)
 
-// quiescentHorizon returns the earliest future cycle at which any pipeline
-// activity can occur, given that no slot is running: read off the pending-
-// event heap on the event core, recomputed structurally on the legacy one.
-func (p *Processor) quiescentHorizon() uint64 {
-	if p.eventCore {
-		return p.quiescentHorizonEvent()
-	}
-	return p.quiescentHorizonScan()
-}
-
-// quiescentHorizonEvent is the event-core horizon: the earliest bit of the
-// near-event wheel, folded with the far-event heap top and the earliest
-// frame-wake deadline (kept in its own heap for (when, id) wake ordering).
+// quiescentHorizonEvent returns the earliest future cycle at which any
+// pipeline activity can occur, given that no slot is running: the earliest
+// bit of the near-event wheel, folded with the far-event heap top and the
+// earliest frame-wake deadline (kept in its own heap for (when, id) wake
+// ordering).
 // Stale events — a killed slot's rebind, a re-busied unit — are at worst
 // early, never late, costing one extra step. If the whole event set is
 // empty the machine can never make progress (and finished() was false),
@@ -134,88 +125,6 @@ func (p *Processor) quiescentHorizonEvent() uint64 {
 	}
 	if len(p.waitHeap) > 0 {
 		t = minEvent(t, maxU(p.waitHeap[0].when, floor))
-	}
-	if t == noEvent {
-		return p.cfg.MaxCycles
-	}
-	return t
-}
-
-// quiescentHorizonScan is the legacy structural horizon (and the reference
-// the event-heap cross-check tests compare against). Every candidate is
-// conservative: reporting an event too early merely costs a normal step,
-// while missing one would alter results — so each machine resource that
-// can wake the pipeline contributes its own bound:
-//
-//   - completion ring: the next non-empty retire list (outstanding > 0);
-//   - wait heap: the earliest frame wake deadline (stale entries are at
-//     worst early, never late);
-//   - ready queue: the earliest rebind time of an idle slot;
-//   - standby stations/latches: for each class with issued-but-unselected
-//     instructions, the first cycle a unit of that class is free
-//     (busyUntil + 1, since schedulePhase requires busyUntil < cycle);
-//   - draining slots that have fully drained: they unbind at the very next
-//     bindSlots, so the horizon collapses to cycle+1;
-//   - busy fetch units: their delivery cycle (deliveries into non-running
-//     slots are dropped, but the drop itself must happen on time so the
-//     unit frees up on the cycle stepping would free it).
-//
-// Idle fetch units need no bound: startFetch only serves running slots.
-// If no resource reports an event the machine can never make progress
-// (and finished() was false), i.e. a genuine deadlock: return MaxCycles so
-// Run raises the same diagnostic the cycle-by-cycle loop would reach.
-func (p *Processor) quiescentHorizonScan() uint64 {
-	floor := p.cycle + 1
-	t := uint64(noEvent)
-
-	if p.outstanding > 0 {
-		for d := uint64(1); d <= p.compMask+1; d++ {
-			if len(p.completions[(p.cycle+d)&p.compMask]) > 0 {
-				t = minEvent(t, p.cycle+d)
-				break
-			}
-		}
-	}
-	if len(p.waitHeap) > 0 {
-		t = minEvent(t, maxU(p.waitHeap[0].when, floor))
-	}
-	if len(p.readyQ) > 0 {
-		for _, s := range p.slots {
-			if s.state == slotIdle {
-				t = minEvent(t, maxU(s.bindReadyAt, floor))
-			}
-		}
-	}
-	if p.issuedPending > 0 {
-		var classes [unitClassCount]bool
-		for _, s := range p.slots {
-			if s.latch != nil {
-				classes[s.latch.class] = true
-			}
-			for cls, st := range s.standby {
-				if len(st) > 0 {
-					classes[cls] = true
-				}
-			}
-		}
-		for cls, need := range classes {
-			if !need {
-				continue
-			}
-			for _, u := range p.unitsByCls[cls] {
-				t = minEvent(t, maxU(u.busyUntil+1, floor))
-			}
-		}
-	}
-	for _, s := range p.slots {
-		if s.state == slotDraining && s.outstanding == 0 && s.issuedEmpty() {
-			t = minEvent(t, floor) // unbinds at the next bindSlots
-		}
-	}
-	for _, fu := range p.fetchers {
-		if fu.busy {
-			t = minEvent(t, maxU(fu.busyUntil, floor))
-		}
 	}
 	if t == noEvent {
 		return p.cfg.MaxCycles

@@ -40,6 +40,26 @@ func remoteChaseMem() *mem.Memory {
 	return m
 }
 
+// finishedScan is the full-scan reference for finished:
+// TestFinishedMatchesScan asserts the counter version agrees with it every
+// cycle.
+func (p *Processor) finishedScan() bool {
+	if p.outstanding > 0 || len(p.readyQ) > 0 {
+		return false
+	}
+	for _, f := range p.frames {
+		if f.state == frameRunning || f.state == frameWaiting || f.state == frameReady {
+			return false
+		}
+	}
+	for _, s := range p.slots {
+		if s.state != slotIdle || s.d1n+len(s.d2) > 0 || !s.issuedEmpty() {
+			return false
+		}
+	}
+	return true
+}
+
 // TestFinishedMatchesScan drives the Run loop by hand and checks after
 // every stepped cycle that the counter-based finished() agrees with the
 // structural finishedScan(), across the machine shapes that exercise every

@@ -70,9 +70,8 @@ type SkipEvent struct {
 
 // TouchTotals aggregates the touch census over all sampled steps. Visits
 // count loop bodies that ran past the O(1) dirty-set filter; hits count
-// visits that performed or recorded work (see core.TouchSample). On the
-// event core hits/visits is the dirty-set hit rate; on the legacy scan core
-// 1 − hits/visits is the scan waste the event core eliminates.
+// visits that performed or recorded work (see core.TouchSample), so
+// hits/visits is the dirty-set hit rate.
 type TouchTotals struct {
 	SlotVisits  uint64 `json:"slot_visits"`
 	SlotHits    uint64 `json:"slot_hits"`

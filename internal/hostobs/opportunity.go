@@ -8,13 +8,11 @@ import (
 )
 
 // The dirty-set opportunity report. The cycle loop's per-cycle structure
-// work is now event-driven (internal/core's dirty-set core): each phase
-// visits only the entries its dirty set admits. The touch census measures,
-// per workload, how selective those sets are — a *visit* is a loop body run
-// past the O(1) filter, a *hit* is a visit that performed or recorded work.
-// On the event core 1 − hits/visits is the *remaining* waste; on the legacy
-// scan core (Config.DisableEventCore) the same census measures the waste
-// the refactor *harvested*. Harvest() packages the two runs side by side.
+// work is event-driven (internal/core's dirty-set core): each phase visits
+// only the entries its dirty set admits. The touch census measures, per
+// workload, how selective those sets are — a *visit* is a loop body run
+// past the O(1) filter, a *hit* is a visit that performed or recorded work
+// — and 1 − hits/visits is the waste the dirty sets still admit.
 
 // StructureRow is the visit-vs-hit census of one per-cycle structure.
 // Scans/Touches keep their historical JSON names (they now carry visit and
@@ -34,8 +32,7 @@ type OpportunityReport struct {
 	TotalScans   uint64         `json:"total_scans"`
 	TotalTouches uint64         `json:"total_touches"`
 	// WastedFrac is the headline: the fraction of structure visits that did
-	// no work. On the event core this is the waste its dirty sets still
-	// admit; on the legacy scan core it is the waste they would eliminate.
+	// no work, i.e. the waste the dirty sets still admit.
 	WastedFrac float64 `json:"wasted_fraction"`
 	// HitRate = 1 − WastedFrac, the dirty-set hit rate.
 	HitRate float64 `json:"hit_rate"`
@@ -96,44 +93,8 @@ func (r OpportunityReport) Format() string {
 	fmt.Fprintf(&b, "  %-18s %12d %12d %7.1f%% %7.1f%%\n",
 		"TOTAL", r.TotalScans, r.TotalTouches, 100*r.HitRate, 100*r.WastedFrac)
 	fmt.Fprintf(&b, "  %.1f structure visits per executed cycle; %.1f%% of them did work\n"+
-		"  (on the legacy scan core the wasted column is what the event-driven\n"+
-		"  dirty-set core eliminates; on the event core it is what remains).\n",
+		"  (the wasted column is what the dirty sets still admit).\n",
 		r.ScansPerStep, 100*r.HitRate)
-	return b.String()
-}
-
-// HarvestReport compares the touch census of a legacy scan-core run against
-// an event-core run of the same workload: how much scan waste the dirty-set
-// refactor harvested, and how much remains.
-type HarvestReport struct {
-	Legacy OpportunityReport `json:"legacy"`
-	Event  OpportunityReport `json:"event"`
-	// HarvestedFrac is the fraction of legacy visits the event core never
-	// makes (1 − event visits / legacy visits, clamped at 0).
-	HarvestedFrac float64 `json:"harvested_fraction"`
-	// RemainingWaste is the event core's own wasted fraction — visits its
-	// dirty sets admitted that did no work.
-	RemainingWaste float64 `json:"remaining_waste"`
-}
-
-// Harvest builds the harvested-vs-remaining comparison from two
-// OpportunityReports of the same workload.
-func Harvest(legacy, event OpportunityReport) HarvestReport {
-	h := HarvestReport{Legacy: legacy, Event: event, RemainingWaste: event.WastedFrac}
-	if legacy.TotalScans > 0 && event.TotalScans < legacy.TotalScans {
-		h.HarvestedFrac = 1 - float64(event.TotalScans)/float64(legacy.TotalScans)
-	}
-	return h
-}
-
-// Format renders the comparison.
-func (h HarvestReport) Format() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "dirty-set harvest: legacy scan core vs event core\n")
-	fmt.Fprintf(&b, "  legacy: %d visits, %.1f%% wasted\n", h.Legacy.TotalScans, 100*h.Legacy.WastedFrac)
-	fmt.Fprintf(&b, "  event:  %d visits, %.1f%% wasted\n", h.Event.TotalScans, 100*h.Event.WastedFrac)
-	fmt.Fprintf(&b, "  harvested %.1f%% of legacy visits; remaining waste %.1f%%\n",
-		100*h.HarvestedFrac, 100*h.RemainingWaste)
 	return b.String()
 }
 

@@ -78,7 +78,7 @@ func writeProfilerProm(p func(string, ...any), prof *Profiler) {
 	for _, r := range rep.Rows {
 		p("hirata_host_structure_touches_total{structure=%q} %d\n", r.Name, r.Touches)
 	}
-	p("# HELP hirata_host_wasted_scan_fraction Fraction of visits that did no work (legacy core: waste the dirty sets eliminate; event core: waste remaining).\n" +
+	p("# HELP hirata_host_wasted_scan_fraction Fraction of visits that did no work: the waste the dirty sets still admit.\n" +
 		"# TYPE hirata_host_wasted_scan_fraction gauge\n")
 	for _, r := range rep.Rows {
 		p("hirata_host_wasted_scan_fraction{structure=%q} %g\n", r.Name, r.WastedFrac)

@@ -10,7 +10,7 @@ import (
 )
 
 // hostTraceSHA256 pins WriteHostTrace's bytes for the fixed profile below.
-const hostTraceSHA256 = "e26417b00564f8557ad09d9ba98cb167b74a502a61e0008f7000b8f14f08edfe"
+const hostTraceSHA256 = "fb5167ec3fbd1ab3c538e8891128f5c38e3691b388c6e9786a68511c123db2f1"
 
 // TestWriteHostTracePinned renders a fixed profile and sweep (host timings
 // are not reproducible, so the samples are set by hand) and checks the

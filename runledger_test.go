@@ -8,6 +8,8 @@ package hirata
 
 import (
 	"bytes"
+	"io"
+	"reflect"
 	"testing"
 
 	"hirata/internal/runledger"
@@ -46,42 +48,34 @@ func rayTraceRecord(t *testing.T, led *RunLedger, tag string, cfg MTConfig) RunL
 
 // TestRunRecordDeterminism: recording the same (program, config, workload)
 // twice must produce byte-identical canonical records — equal content
-// hashes — on the event core AND the legacy scan core, and all four
-// records must share one run key. This is the cache-correctness
-// certificate ROADMAP item 1's result cache rests on.
+// hashes and one run key. This is the cache-correctness certificate
+// ROADMAP item 1's result cache rests on.
 func TestRunRecordDeterminism(t *testing.T) {
 	led := NewRunLedger()
 	base := MTConfig{ThreadSlots: 4, LoadStoreUnits: 2, StandbyStations: true}
 
-	event1 := rayTraceRecord(t, led, "det", base)
+	first := rayTraceRecord(t, led, "det", base)
 	// Identical rerun: the ledger dedups it, proving byte identity.
 	stats := led.Stats()
-	rayTraceRecord(t, led, "det", base)
+	again := rayTraceRecord(t, led, "det", base)
 	if got := led.Stats(); got.Records != stats.Records || got.DedupHits != stats.DedupHits+1 {
 		t.Fatalf("identical rerun did not dedup: before %+v, after %+v", stats, got)
 	}
-
-	legacy := base
-	legacy.DisableEventCore = true
-	legacy1 := rayTraceRecord(t, led, "det", legacy)
-
-	if event1.Hash != legacy1.Hash {
-		t.Errorf("event and legacy cores produced different records: %s vs %s",
-			runledger.ShortKey(event1.Hash), runledger.ShortKey(legacy1.Hash))
+	if first.Hash != again.Hash || first.Record.Key != again.Record.Key {
+		t.Errorf("rerun recorded %s (key %s), first run %s (key %s)",
+			runledger.ShortKey(again.Hash), runledger.ShortKey(again.Record.Key),
+			runledger.ShortKey(first.Hash), runledger.ShortKey(first.Record.Key))
 	}
-	if event1.Record.Key != legacy1.Record.Key {
-		t.Errorf("event and legacy cores produced different run keys")
-	}
-	ca, err := event1.Record.Canonical()
+	ca, err := first.Record.Canonical()
 	if err != nil {
 		t.Fatal(err)
 	}
-	cb, err := legacy1.Record.Canonical()
+	cb, err := again.Record.Canonical()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(ca, cb) {
-		t.Error("canonical record bytes differ across cycle cores")
+		t.Error("canonical record bytes differ across identical runs")
 	}
 }
 
@@ -198,6 +192,59 @@ func TestRunRecordObservedModes(t *testing.T) {
 		if e.Record.Result.Cycles != res.Cycles {
 			t.Errorf("record %s reports %d cycles, want %d",
 				runledger.ShortKey(e.Hash), e.Record.Result.Cycles, res.Cycles)
+		}
+	}
+}
+
+// TestEveryRunMTRecords: each RunMT* variant records its run in an
+// attached ledger, under the same run key and with the same result as
+// plain RunMT.
+func TestEveryRunMTRecords(t *testing.T) {
+	rt, err := BuildRayTrace(RayTraceConfig{Spheres: 4, Rays: 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := MTConfig{ThreadSlots: 4, StandbyStations: true}
+	text := rt.Par.Text
+	col := func() []Observer { return []Observer{NewCollector(cfg, CollectorOptions{})} }
+	prof := func() *HostProfiler { return NewHostProfiler(HostProfilerOptions{}) }
+	variants := []struct {
+		name string
+		run  func(m *Memory) (MTResult, error)
+	}{
+		{"RunMT", func(m *Memory) (MTResult, error) { return RunMT(cfg, text, m) }},
+		{"RunMTTraced", func(m *Memory) (MTResult, error) { return RunMTTraced(cfg, text, m, io.Discard) }},
+		{"RunMTObserved", func(m *Memory) (MTResult, error) { return RunMTObserved(cfg, text, m, col()) }},
+		{"RunMTHostProfiled", func(m *Memory) (MTResult, error) { return RunMTHostProfiled(cfg, text, m, prof()) }},
+		{"RunMTProfiledObserved", func(m *Memory) (MTResult, error) { return RunMTProfiledObserved(cfg, text, m, col(), prof()) }},
+	}
+	defer SetRunLedger(nil, "")
+	var want *RunRecord
+	for _, v := range variants {
+		m, err := rt.NewMemory(rt.Par, cfg.ThreadSlots)
+		if err != nil {
+			t.Fatal(err)
+		}
+		led := NewRunLedger()
+		SetRunLedger(led, v.name)
+		if _, err := v.run(m); err != nil {
+			t.Fatalf("%s: %v", v.name, err)
+		}
+		entries := led.Entries()
+		if len(entries) != 1 {
+			t.Errorf("%s recorded %d runs, want 1", v.name, len(entries))
+			continue
+		}
+		rec := entries[0].Record
+		if want == nil {
+			want = rec
+			continue
+		}
+		if rec.Key != want.Key {
+			t.Errorf("%s keyed %s, RunMT %s", v.name, runledger.ShortKey(rec.Key), runledger.ShortKey(want.Key))
+		}
+		if !reflect.DeepEqual(rec.Result, want.Result) {
+			t.Errorf("%s recorded result %+v, RunMT %+v", v.name, rec.Result, want.Result)
 		}
 	}
 }

@@ -7,6 +7,7 @@ package hirata
 // steers it). See docs/OBSERVABILITY.md, "Host-level observability".
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -136,5 +137,35 @@ func TestSelfProfileReportBytesUnchanged(t *testing.T) {
 	instrumented := render(true)
 	if plain != instrumented {
 		t.Errorf("sweep telemetry changed the speed-up curve:\nplain:\n%s\ninstrumented:\n%s", plain, instrumented)
+	}
+}
+
+// TestSelfProfileResultUnchangedOnPriorityChange: a profiled run that
+// samples every step must reproduce the plain run's Result on Table 5's
+// eager while-loop, whose change-priority instructions rotate the priority
+// list in the middle of the decode pass.
+func TestSelfProfileResultUnchangedOnPriorityChange(t *testing.T) {
+	ll, err := BuildLinkedList(LinkedListConfig{Nodes: 24, BreakAt: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, slots := range []int{2, 3, 8} {
+		cfg := MTConfig{ThreadSlots: slots, LoadStoreUnits: 1, StandbyStations: true}
+		run := func(prof *HostProfiler) MTResult {
+			m, err := ll.NewMemory(ll.Par, slots)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := RunMTHostProfiled(cfg, ll.Par.Text, m, prof)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}
+		plain := run(nil)
+		sampled := run(NewHostProfiler(HostProfilerOptions{SampleEvery: 1}))
+		if !reflect.DeepEqual(plain, sampled) {
+			t.Errorf("%d slots: profiled run took %d cycles, plain run %d", slots, sampled.Cycles, plain.Cycles)
+		}
 	}
 }
