@@ -59,7 +59,7 @@ func TestFacadeTracedRun(t *testing.T) {
 	}
 	var buf strings.Builder
 	m := NewMemory(16)
-	if _, err := RunMTTraced(MTConfig{ThreadSlots: 1, StandbyStations: true}, prog.Text, m, &buf); err != nil {
+	if _, err := RunMTObserved(MTConfig{ThreadSlots: 1, StandbyStations: true}, prog.Text, m, []Observer{&TextTracer{W: &buf}}); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"issue", "select", "bind"} {

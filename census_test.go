@@ -20,7 +20,7 @@ func TestEventCoreCensusWasteBelow20Percent(t *testing.T) {
 	// Dense sampling: the census fractions, not the timing, are under
 	// test, so a stable estimate beats low overhead here.
 	prof := NewHostProfiler(HostProfilerOptions{SampleEvery: 4})
-	if _, err := RunMTHostProfiled(cfg, rt.Par.Text, m, prof); err != nil {
+	if _, err := RunMTProfiledObserved(cfg, rt.Par.Text, m, nil, prof); err != nil {
 		t.Fatal(err)
 	}
 	rep := prof.Opportunity()

@@ -331,7 +331,7 @@ func recordRepresentative(rt hirata.RayTraceConfig, out representativeOutputs) (
 	col := hirata.NewCollector(cfg, hirata.CollectorOptions{MetricsInterval: 256})
 	var shutdown func() error
 	if out.httpAddr != "" {
-		bound, stop, err := hirata.ServeObservability(out.httpAddr, col, w.Par)
+		bound, stop, err := hirata.ServeObservability(out.httpAddr, col, w.Par, nil, nil)
 		if err != nil {
 			return nil, err
 		}

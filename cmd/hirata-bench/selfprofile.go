@@ -41,20 +41,19 @@ func runSelfProfile(w io.Writer, rt hirata.RayTraceConfig, out selfProfileOutput
 	}
 
 	var shutdown func() error
-	var res hirata.MTResult
+	var observers []hirata.Observer
 	if out.httpAddr != "" {
 		col := hirata.NewCollector(cfg, hirata.CollectorOptions{MetricsInterval: 256})
-		bound, stop, serr := hirata.ServeObservabilityWithHost(out.httpAddr, col, wl.Par,
-			hirata.HostExport{Prof: prof, Sweep: rec})
+		bound, stop, serr := hirata.ServeObservability(out.httpAddr, col, wl.Par,
+			hirata.HostExport{Prof: prof, Sweep: rec}, nil)
 		if serr != nil {
 			return serr
 		}
 		shutdown = stop
 		fmt.Fprintf(os.Stderr, "hirata-bench: serving /metrics and /hostmetrics at http://%s\n", bound)
-		res, err = hirata.RunMTProfiledObserved(cfg, wl.Par.Text, m, []hirata.Observer{col}, prof)
-	} else {
-		res, err = hirata.RunMTHostProfiled(cfg, wl.Par.Text, m, prof)
+		observers = []hirata.Observer{col}
 	}
+	res, err := hirata.RunMTProfiledObserved(cfg, wl.Par.Text, m, observers, prof)
 	if err != nil {
 		return err
 	}

@@ -157,7 +157,7 @@ func main() {
 			if led != nil {
 				runs = led
 			}
-			bound, stop, serr := hirata.ServeObservabilityWithSources(*httpAddr, col, prog, host, runs)
+			bound, stop, serr := hirata.ServeObservability(*httpAddr, col, prog, host, runs)
 			if serr != nil {
 				fail(serr)
 			}
@@ -165,15 +165,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "hirata-sim: serving observability at http://%s\n", bound)
 		}
 
-		var res hirata.MTResult
-		switch {
-		case len(observers) > 0:
-			res, err = hirata.RunMTProfiledObserved(cfg, prog.Text, m, observers, prof, pcs...)
-		case prof != nil:
-			res, err = hirata.RunMTHostProfiled(cfg, prog.Text, m, prof, pcs...)
-		default:
-			res, err = hirata.RunMT(cfg, prog.Text, m, pcs...)
-		}
+		res, err := hirata.RunMTProfiledObserved(cfg, prog.Text, m, observers, prof, pcs...)
 		if err != nil {
 			fail(err)
 		}

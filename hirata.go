@@ -206,30 +206,7 @@ func NewMemoryWithRemote(words int, remoteBase int64, latency int) *Memory {
 // at the given program counters (default: one thread at 0). When a run
 // ledger is attached (SetRunLedger), the completed run is recorded.
 func RunMT(cfg MTConfig, text []Instruction, m *Memory, startPCs ...int64) (MTResult, error) {
-	if err := verifyForRun(cfg, text, m, startPCs); err != nil {
-		return MTResult{}, err
-	}
-	pend, led, tag := recordBegin(cfg, text, m, startPCs)
-	p, err := core.New(cfg, text, m)
-	if err != nil {
-		return MTResult{}, err
-	}
-	for _, pc := range startPCs {
-		if err := p.StartThread(pc); err != nil {
-			return MTResult{}, err
-		}
-	}
-	res, err := p.Run()
-	recordCommit(led, pend, tag, res, err, nil)
-	return res, err
-}
-
-// RunMTTraced is RunMT with a cycle-by-cycle pipeline event trace written
-// to w (issues, schedule-unit selections, redirects, binds, traps,
-// priority rotations, thread ends): RunMTObserved with a TextTracer as the
-// single observer, so an attached run ledger records it like any run.
-func RunMTTraced(cfg MTConfig, text []Instruction, m *Memory, w io.Writer, startPCs ...int64) (MTResult, error) {
-	return RunMTObserved(cfg, text, m, []Observer{&core.TextTracer{W: w}}, startPCs...)
+	return RunMTProfiledObserved(cfg, text, m, nil, nil, startPCs...)
 }
 
 // Observability (see internal/obs and docs/OBSERVABILITY.md).
@@ -276,43 +253,21 @@ func NewCollector(cfg MTConfig, opt CollectorOptions) *Collector {
 }
 
 // ServeObservability starts an HTTP server exposing a collector's /metrics,
-// /metrics.json, /trace.json, /profile and /debug/pprof endpoints. It
-// returns the bound address (useful with ":0") and a shutdown function.
-func ServeObservability(addr string, c *Collector, prog *Program) (string, func() error, error) {
-	return obs.Serve(addr, c, prog)
+// /metrics.json, /trace.json, /profile and /debug/pprof endpoints, plus
+// /hostmetrics backed by host (e.g. a HostExport or *HostProfiler) and the
+// cross-run /runs endpoints backed by runs; a nil source serves 503 on its
+// routes. It returns the bound address (useful with ":0") and a shutdown
+// function.
+func ServeObservability(addr string, c *Collector, prog *Program, host HostSource, runs RunsSource) (string, func() error, error) {
+	return obs.Serve(addr, c, prog, host, runs)
 }
 
 // RunMTObserved is RunMT with one or more observers attached to the
-// pipeline event stream (a *Collector, a *core.TextTracer, or any custom
+// pipeline event stream (a *Collector, a *TextTracer, or any custom
 // Observer). Collectors passed here are finalized against the run result
 // before returning.
 func RunMTObserved(cfg MTConfig, text []Instruction, m *Memory, observers []Observer, startPCs ...int64) (MTResult, error) {
-	if err := verifyForRun(cfg, text, m, startPCs); err != nil {
-		return MTResult{}, err
-	}
-	pend, led, tag := recordBegin(cfg, text, m, startPCs)
-	p, err := core.New(cfg, text, m)
-	if err != nil {
-		return MTResult{}, err
-	}
-	for _, o := range observers {
-		p.Observe(o)
-	}
-	for _, pc := range startPCs {
-		if err := p.StartThread(pc); err != nil {
-			return MTResult{}, err
-		}
-	}
-	res, err := p.Run()
-	if err == nil {
-		for _, o := range observers {
-			if c, ok := o.(*Collector); ok {
-				c.Finalize(res)
-			}
-		}
-	}
-	recordCommit(led, pend, tag, res, err, exactCPIDecorator(observers))
-	return res, err
+	return RunMTProfiledObserved(cfg, text, m, observers, nil, startPCs...)
 }
 
 // Host-level self-observability (see internal/hostobs and the "Host-level
@@ -320,7 +275,7 @@ func RunMTObserved(cfg MTConfig, text []Instruction, m *Memory, observers []Obse
 // its own execution rather than the simulated machine's.
 type (
 	// HostProfiler samples the cycle loop's wall time per phase and its
-	// structure-touch census; attach with RunMTHostProfiled.
+	// structure-touch census; attach with RunMTProfiledObserved.
 	HostProfiler = hostobs.Profiler
 	// HostProfilerOptions configure sampling rate and trace retention.
 	HostProfilerOptions = hostobs.Options
@@ -346,35 +301,16 @@ func NewHostProfiler(opt HostProfilerOptions) *HostProfiler { return hostobs.New
 // NewSweepRecorder builds a sweep telemetry recorder for SetSweepTelemetry.
 func NewSweepRecorder() *SweepRecorder { return hostobs.NewSweepRecorder() }
 
-// RunMTHostProfiled is RunMT with a host profiler attached. Unlike pipeline
-// observers, the profiler leaves quiescent-cycle skipping armed (it records
-// the jumps instead), so a profiled run produces an identical MTResult.
-func RunMTHostProfiled(cfg MTConfig, text []Instruction, m *Memory, prof *HostProfiler, startPCs ...int64) (MTResult, error) {
-	if err := verifyForRun(cfg, text, m, startPCs); err != nil {
-		return MTResult{}, err
-	}
-	pend, led, tag := recordBegin(cfg, text, m, startPCs)
-	p, err := core.New(cfg, text, m)
-	if err != nil {
-		return MTResult{}, err
-	}
-	if prof != nil {
-		p.SetHostProbe(prof)
-	}
-	for _, pc := range startPCs {
-		if err := p.StartThread(pc); err != nil {
-			return MTResult{}, err
-		}
-	}
-	res, err := p.Run()
-	recordCommit(led, pend, tag, res, err, hostDigestDecorator(prof))
-	return res, err
-}
-
-// RunMTProfiledObserved attaches pipeline observers and a host profiler to
-// the same run. Note that pipeline observers disable quiescent-cycle
-// skipping, so the host profile of such a run shows the cycle loop scanning
-// quiescent cycles the unobserved simulator would have jumped over.
+// RunMTProfiledObserved is the one body behind every RunMT* entry point:
+// it verifies (StrictVerify), simulates with the given pipeline observers
+// and host profiler attached (either may be nil), finalizes every
+// *Collector against the result, and records the run in the attached
+// ledger. The record carries the first collector's exact CPI stack and the
+// profiler's artifact digest. The profiler leaves quiescent-cycle skipping
+// armed (it records the jumps instead), so a profiled run produces an
+// identical MTResult; pipeline observers disable skipping, so the host
+// profile of an observed run shows the cycle loop scanning quiescent
+// cycles the unobserved simulator would have jumped over.
 func RunMTProfiledObserved(cfg MTConfig, text []Instruction, m *Memory, observers []Observer, prof *HostProfiler, startPCs ...int64) (MTResult, error) {
 	if err := verifyForRun(cfg, text, m, startPCs); err != nil {
 		return MTResult{}, err
@@ -396,16 +332,20 @@ func RunMTProfiledObserved(cfg MTConfig, text []Instruction, m *Memory, observer
 		}
 	}
 	res, err := p.Run()
-	if err == nil {
-		for _, o := range observers {
-			if c, ok := o.(*Collector); ok {
-				c.Finalize(res)
+	if err != nil {
+		return res, err
+	}
+	var first *Collector
+	for _, o := range observers {
+		if c, ok := o.(*Collector); ok {
+			c.Finalize(res)
+			if first == nil {
+				first = c
 			}
 		}
 	}
-	recordCommit(led, pend, tag, res, err,
-		chainDecorators(exactCPIDecorator(observers), hostDigestDecorator(prof)))
-	return res, err
+	recordCommit(led, pend, tag, res, first, prof)
+	return res, nil
 }
 
 // WriteHostTrace writes the host-side Chrome Trace Event JSON (cycle-loop
@@ -413,13 +353,6 @@ func RunMTProfiledObserved(cfg MTConfig, text []Instruction, m *Memory, observer
 // Either source may be nil.
 func WriteHostTrace(w io.Writer, prof *HostProfiler, rec *SweepRecorder) error {
 	return hostobs.WriteHostTrace(w, prof, rec)
-}
-
-// ServeObservabilityWithHost is ServeObservability plus a /hostmetrics
-// endpoint backed by host (e.g. a HostExport or *HostProfiler); a nil host
-// serves 503 on that route.
-func ServeObservabilityWithHost(addr string, c *Collector, prog *Program, host HostSource) (string, func() error, error) {
-	return obs.ServeWithHost(addr, c, prog, host)
 }
 
 // Version reports the binary's build identity (VCS revision, dirty flag, Go

@@ -112,8 +112,8 @@ type Config struct {
 	// activity waiting on a known future event). The skip is cycle-exact —
 	// differential tests compare skipping runs against this reference
 	// path — so the flag exists for those tests and for debugging, not for
-	// correct results. Attaching an observer or the OnIssue/OnSelect hooks
-	// disables skipping regardless of this flag.
+	// correct results. Attaching an observer disables skipping regardless
+	// of this flag.
 	DisableCycleSkip bool
 	// StrictVerify makes the top-level runners (hirata.RunMT) refuse to
 	// simulate a program the static verifier (internal/lint) finds

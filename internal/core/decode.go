@@ -731,9 +731,6 @@ func (p *Processor) noteIssued(s *slot, di *dinstr) {
 		p.touchSmp.Issues++
 	}
 	p.touch(p.cycle)
-	if p.OnIssue != nil {
-		p.OnIssue(s.id, di.pc, p.cycle)
-	}
 	if p.observer != nil {
 		p.observer.Issue(p.cycle, s.id, di.pc, di.ins)
 	}

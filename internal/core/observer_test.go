@@ -92,6 +92,25 @@ func (c *countingObserver) Trap(uint64, int, int, int64)          { c.traps++ }
 func (c *countingObserver) Rotate(uint64, []int)                  { c.rotates++ }
 func (c *countingObserver) ThreadEnd(uint64, int, int, bool)      { c.ends++ }
 
+// hookObserver passes each issue and each selection as (slot, pc, cycle)
+// to an optional callback, for the timing tests; other events are counted.
+type hookObserver struct {
+	countingObserver
+	issue, sel func(slot int, pc int64, cycle uint64)
+}
+
+func (h *hookObserver) Issue(cycle uint64, slot int, pc int64, _ isa.Instruction) {
+	if h.issue != nil {
+		h.issue(slot, pc, cycle)
+	}
+}
+
+func (h *hookObserver) Select(cycle uint64, slot int, pc int64, _ isa.Instruction, _ isa.UnitClass, _ int, _ uint64) {
+	if h.sel != nil {
+		h.sel(slot, pc, cycle)
+	}
+}
+
 // TestObserveComposes checks that repeated Observe calls fan out instead of
 // replacing the previously attached observer.
 func TestObserveComposes(t *testing.T) {

@@ -297,12 +297,6 @@ type Processor struct {
 	started   bool
 	lastEvent uint64 // cycle of the latest architectural activity
 
-	// OnIssue, when set, observes every instruction leaving a decode unit:
-	// (slot, pc, cycle). Used by timing tests and the trace tool.
-	OnIssue func(slot int, pc int64, cycle uint64)
-	// OnSelect observes every selection by an instruction schedule unit.
-	OnSelect func(slot int, pc int64, cycle uint64)
-
 	observer Observer // optional rich event sink (see Observe)
 
 	// Host-side self-observability (hostprobe.go). hostProbe is the

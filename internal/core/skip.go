@@ -21,12 +21,12 @@ import "math/bits"
 // reference the event-set tests compare against.
 
 // skipEnabled reports whether quiescent-cycle fast-forwarding is safe.
-// Observers and the OnIssue/OnSelect hooks may watch per-cycle activity
-// (e.g. rotation events), so their presence pins the machine to
-// cycle-by-cycle stepping, as does Config.DisableCycleSkip (the
-// differential-test reference path).
+// An observer may watch per-cycle activity (e.g. rotation events), so its
+// presence pins the machine to cycle-by-cycle stepping, as does
+// Config.DisableCycleSkip (the differential-test reference path). A
+// HostProbe does not (see advanceCycle).
 func (p *Processor) skipEnabled() bool {
-	return !p.cfg.DisableCycleSkip && p.observer == nil && p.OnIssue == nil && p.OnSelect == nil
+	return !p.cfg.DisableCycleSkip && p.observer == nil
 }
 
 // advanceCycle moves the machine to the next simulated cycle, jumping over

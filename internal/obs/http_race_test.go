@@ -45,7 +45,7 @@ func TestHTTPEndpointsDuringLiveRun(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv := httptest.NewServer(Handler(c, prog))
+	srv := httptest.NewServer(Handler(c, prog, nil, nil))
 	defer srv.Close()
 
 	runDone := make(chan error, 1)

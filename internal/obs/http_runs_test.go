@@ -43,7 +43,7 @@ func TestRunsEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv := httptest.NewServer(HandlerWithSources(c, prog, nil, led))
+	srv := httptest.NewServer(Handler(c, prog, nil, led))
 	defer srv.Close()
 
 	// Index lists both records.
@@ -114,7 +114,7 @@ func TestRunsEndpoints(t *testing.T) {
 
 func TestRunsEndpointsDetached(t *testing.T) {
 	c, _, prog := runFib(t, Options{})
-	srv := httptest.NewServer(HandlerWithSources(c, prog, nil, nil))
+	srv := httptest.NewServer(Handler(c, prog, nil, nil))
 	defer srv.Close()
 	for _, path := range []string{"/runs", "/runs/abc"} {
 		resp, err := http.Get(srv.URL + path)
@@ -141,7 +141,7 @@ func TestRunsEndpointsDetached(t *testing.T) {
 func TestRunsConcurrentRecordWhileServing(t *testing.T) {
 	c, _, prog := runFib(t, Options{})
 	led := runledger.NewMemory()
-	srv := httptest.NewServer(HandlerWithSources(c, prog, nil, led))
+	srv := httptest.NewServer(Handler(c, prog, nil, led))
 	defer srv.Close()
 
 	const writers, readers, perWriter = 4, 4, 8

@@ -302,7 +302,7 @@ func TestAssignLanes(t *testing.T) {
 
 func TestHandlerEndpoints(t *testing.T) {
 	c, _, prog := runFib(t, Options{MetricsInterval: 50})
-	srv := httptest.NewServer(Handler(c, prog))
+	srv := httptest.NewServer(Handler(c, prog, nil, nil))
 	defer srv.Close()
 
 	get := func(path string) (int, string, string) {

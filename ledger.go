@@ -85,16 +85,21 @@ func recordBegin(cfg MTConfig, text []Instruction, m *Memory, startPCs []int64) 
 	return runledger.Begin(cfg, text, m, startPCs), led, tag
 }
 
-// recordCommit appends the completed run's record. decorate, when non-nil,
-// attaches the mode's optional sections (exact CPI, host-profile digest)
-// before hashing.
-func recordCommit(led *runledger.Ledger, pend *runledger.Pending, tag string, res MTResult, runErr error, decorate func(*RunRecord)) {
-	if led == nil || runErr != nil {
+// recordCommit appends the completed run's record, with the first
+// collector's exact CPI stack and the host profiler's artifact digest when
+// the run had them (either may be nil).
+func recordCommit(led *runledger.Ledger, pend *runledger.Pending, tag string, res MTResult, c *Collector, prof *HostProfiler) {
+	if led == nil {
 		return
 	}
 	rec := pend.Finish(res, tag)
-	if decorate != nil {
-		decorate(rec)
+	if c != nil {
+		AttachExactCPI(rec, c)
+	}
+	if prof != nil {
+		if d, err := prof.ProfileDigest(); err == nil {
+			rec.HostProfileDigest = d
+		}
 	}
 	if _, _, err := led.Append(rec); err != nil {
 		recorder.mu.Lock()
@@ -137,53 +142,4 @@ func AttachExactCPI(rec *RunRecord, c *Collector) {
 func AttachStaticBounds(rec *RunRecord, cfg MTConfig, text []Instruction, startPCs ...int64) {
 	b := StaticBounds(cfg, text, startPCs...)
 	rec.SetBounds(int64(b.DepBound), int64(b.ResourceBound), int64(b.IssueBound), int64(b.Bound), b.Unbounded)
-}
-
-// exactCPIDecorator returns a decorator attaching the first collector's
-// exact CPI stack, for the observed run modes.
-func exactCPIDecorator(observers []Observer) func(*RunRecord) {
-	for _, o := range observers {
-		if c, ok := o.(*Collector); ok {
-			return func(rec *RunRecord) { AttachExactCPI(rec, c) }
-		}
-	}
-	return nil
-}
-
-// hostDigestDecorator returns a decorator attaching the host profiler's
-// artifact digest, for the host-profiled run modes.
-func hostDigestDecorator(prof *HostProfiler) func(*RunRecord) {
-	if prof == nil {
-		return nil
-	}
-	return func(rec *RunRecord) {
-		if d, err := prof.ProfileDigest(); err == nil {
-			rec.HostProfileDigest = d
-		}
-	}
-}
-
-// chainDecorators composes optional record decorators.
-func chainDecorators(ds ...func(*RunRecord)) func(*RunRecord) {
-	var live []func(*RunRecord)
-	for _, d := range ds {
-		if d != nil {
-			live = append(live, d)
-		}
-	}
-	if len(live) == 0 {
-		return nil
-	}
-	return func(rec *RunRecord) {
-		for _, d := range live {
-			d(rec)
-		}
-	}
-}
-
-// ServeObservabilityWithSources is ServeObservability plus /hostmetrics
-// (host) and the cross-run /runs endpoints (runs); nil sources serve 503
-// on their routes.
-func ServeObservabilityWithSources(addr string, c *Collector, prog *Program, host HostSource, runs RunsSource) (string, func() error, error) {
-	return obs.ServeWithSources(addr, c, prog, host, runs)
 }

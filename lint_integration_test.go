@@ -161,10 +161,11 @@ func TestStrictVerify(t *testing.T) {
 	}
 }
 
-// TestStrictVerifyEveryRunMT runs every RunMT variant on a deadlocked
-// fixture with StrictVerify set: run as one thread from pc 0, its queue pop
-// has no producer (L006). Each variant must refuse it before simulating,
-// with the same diagnostics RunMT gives.
+// TestStrictVerifyEveryRunMT runs every hook combination (none, a text
+// tracer, a collector, a host profiler, a collector with a profiler) on a
+// deadlocked fixture with StrictVerify set: run as one thread from pc 0, its
+// queue pop has no producer (L006). Each must refuse it before simulating,
+// with the same diagnostics plain RunMT gives.
 func TestStrictVerifyEveryRunMT(t *testing.T) {
 	src, err := os.ReadFile(filepath.Join("cmd", "hirata-lint", "testdata", "deadlock.s"))
 	if err != nil {
@@ -181,25 +182,26 @@ func TestStrictVerifyEveryRunMT(t *testing.T) {
 		name string
 		run  func() error
 	}{
-		{"RunMT", func() error {
+		{"none", func() error {
 			_, err := hirata.RunMT(cfg, p.Text, hirata.NewMemory(64))
 			return err
 		}},
-		{"RunMTTraced", func() error {
-			_, err := hirata.RunMTTraced(cfg, p.Text, hirata.NewMemory(64), io.Discard)
+		{"text tracer", func() error {
+			tr := &hirata.TextTracer{W: io.Discard}
+			_, err := hirata.RunMTObserved(cfg, p.Text, hirata.NewMemory(64), []hirata.Observer{tr})
 			return err
 		}},
-		{"RunMTObserved", func() error {
+		{"collector", func() error {
 			col := hirata.NewCollector(cfg, hirata.CollectorOptions{})
 			_, err := hirata.RunMTObserved(cfg, p.Text, hirata.NewMemory(64), []hirata.Observer{col})
 			return err
 		}},
-		{"RunMTHostProfiled", func() error {
+		{"profiler", func() error {
 			prof := hirata.NewHostProfiler(hirata.HostProfilerOptions{})
-			_, err := hirata.RunMTHostProfiled(cfg, p.Text, hirata.NewMemory(64), prof)
+			_, err := hirata.RunMTProfiledObserved(cfg, p.Text, hirata.NewMemory(64), nil, prof)
 			return err
 		}},
-		{"RunMTProfiledObserved", func() error {
+		{"collector+profiler", func() error {
 			col := hirata.NewCollector(cfg, hirata.CollectorOptions{})
 			prof := hirata.NewHostProfiler(hirata.HostProfilerOptions{})
 			_, err := hirata.RunMTProfiledObserved(cfg, p.Text, hirata.NewMemory(64), []hirata.Observer{col}, prof)

@@ -175,7 +175,7 @@ func TestRunRecordObservedModes(t *testing.T) {
 		t.Fatal(err)
 	}
 	prof := NewHostProfiler(HostProfilerOptions{})
-	if _, err := RunMTHostProfiled(cfg, rt.Par.Text, m2, prof); err != nil {
+	if _, err := RunMTProfiledObserved(cfg, rt.Par.Text, m2, nil, prof); err != nil {
 		t.Fatal(err)
 	}
 	entries = led.Entries()
@@ -196,9 +196,10 @@ func TestRunRecordObservedModes(t *testing.T) {
 	}
 }
 
-// TestEveryRunMTRecords: each RunMT* variant records its run in an
-// attached ledger, under the same run key and with the same result as
-// plain RunMT.
+// TestEveryRunMTRecords: each hook combination — none, a text tracer, a
+// collector, a host profiler, and a collector with a profiler — records its
+// run in an attached ledger, under the same run key and with the same
+// result as plain RunMT.
 func TestEveryRunMTRecords(t *testing.T) {
 	rt, err := BuildRayTrace(RayTraceConfig{Spheres: 4, Rays: 12})
 	if err != nil {
@@ -212,11 +213,13 @@ func TestEveryRunMTRecords(t *testing.T) {
 		name string
 		run  func(m *Memory) (MTResult, error)
 	}{
-		{"RunMT", func(m *Memory) (MTResult, error) { return RunMT(cfg, text, m) }},
-		{"RunMTTraced", func(m *Memory) (MTResult, error) { return RunMTTraced(cfg, text, m, io.Discard) }},
-		{"RunMTObserved", func(m *Memory) (MTResult, error) { return RunMTObserved(cfg, text, m, col()) }},
-		{"RunMTHostProfiled", func(m *Memory) (MTResult, error) { return RunMTHostProfiled(cfg, text, m, prof()) }},
-		{"RunMTProfiledObserved", func(m *Memory) (MTResult, error) { return RunMTProfiledObserved(cfg, text, m, col(), prof()) }},
+		{"none", func(m *Memory) (MTResult, error) { return RunMT(cfg, text, m) }},
+		{"text tracer", func(m *Memory) (MTResult, error) {
+			return RunMTObserved(cfg, text, m, []Observer{&TextTracer{W: io.Discard}})
+		}},
+		{"collector", func(m *Memory) (MTResult, error) { return RunMTObserved(cfg, text, m, col()) }},
+		{"profiler", func(m *Memory) (MTResult, error) { return RunMTProfiledObserved(cfg, text, m, nil, prof()) }},
+		{"collector+profiler", func(m *Memory) (MTResult, error) { return RunMTProfiledObserved(cfg, text, m, col(), prof()) }},
 	}
 	defer SetRunLedger(nil, "")
 	var want *RunRecord

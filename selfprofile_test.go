@@ -38,7 +38,7 @@ func BenchmarkSimulatorThroughputSelfProfile(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := RunMTHostProfiled(cfg, rt.Par.Text, m, prof); err != nil {
+		if _, err := RunMTProfiledObserved(cfg, rt.Par.Text, m, nil, prof); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -72,7 +72,7 @@ func TestSelfProfileOverheadWithinBudget(t *testing.T) {
 		}
 		start := time.Now()
 		if prof != nil {
-			_, err = RunMTHostProfiled(cfg, rt.Par.Text, m, prof)
+			_, err = RunMTProfiledObserved(cfg, rt.Par.Text, m, nil, prof)
 		} else {
 			_, err = RunMT(cfg, rt.Par.Text, m)
 		}
@@ -156,7 +156,7 @@ func TestSelfProfileResultUnchangedOnPriorityChange(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := RunMTHostProfiled(cfg, ll.Par.Text, m, prof)
+			res, err := RunMTProfiledObserved(cfg, ll.Par.Text, m, nil, prof)
 			if err != nil {
 				t.Fatal(err)
 			}
