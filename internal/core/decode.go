@@ -92,12 +92,10 @@ func (c *issueCtx) TID() int                         { return int(c.f.tid) }
 // reads (cross-slot issue effects — kills, queue traffic, priority
 // interlocks — consult slot states, queues, and scoreboards, never
 // decode-stage contents). A slot killed by a later slot after advancing is
-// flushed wholesale. The one iteration hazard is a change-priority
-// instruction rotating p.prio mid-loop; the advanced bitmask plus the
-// rotation-count check below guarantee every still-running slot advances
-// exactly once regardless. Issue has no such guard: in that cycle the
-// rotating slot is visited again and the slot rotated past it is not
-// (ROADMAP item 2(d)); the pinned results include this behaviour.
+// flushed wholesale. A change-priority instruction may rotate p.prio
+// mid-pass, so the pass walks a copy of the cycle's starting order: every
+// slot is visited exactly once, and the new order takes effect next cycle
+// (priority interlocks read the live rank table, prioIdx).
 func (p *Processor) decodeAndAdvance() error {
 	if p.runningSlots == 0 {
 		return nil
@@ -107,10 +105,9 @@ func (p *Processor) decodeAndAdvance() error {
 		p.issueBudget = 1 << 30 // unbounded: simultaneous issue
 	}
 	w := p.cfg.IssueWidth
-	rot := p.rotCount
-	var advanced uint64
+	order := append(p.orderScratch[:0], p.prio...)
 	issuing := true // until a running slot finds the issue budget spent
-	for _, slotID := range p.prio {
+	for _, slotID := range order {
 		s := p.slots[slotID]
 		if s.state != slotRunning {
 			continue
@@ -127,18 +124,8 @@ func (p *Processor) decodeAndAdvance() error {
 		}
 		// Re-check the state: the slot may have halted or been flushed to
 		// idle by its own issue, leaving nothing to advance.
-		if s.state == slotRunning && advanced&(1<<uint(slotID)) == 0 {
-			advanced |= 1 << uint(slotID)
+		if s.state == slotRunning {
 			p.advanceSlot(s, w)
-		}
-	}
-	if p.rotCount != rot {
-		// A mid-loop rotation reordered p.prio under the range above, so
-		// some running slot may have been skipped: mop up in index order.
-		for _, s := range p.slots {
-			if s.state == slotRunning && advanced&(1<<uint(s.id)) == 0 {
-				p.advanceSlot(s, w)
-			}
 		}
 	}
 	return nil

@@ -231,7 +231,6 @@ type Processor struct {
 	readyQ   []int // frame ids ready to run, FIFO
 	prio     []int // slot ids, highest priority first
 	explicit bool
-	rotCount uint64 // rotateOnce invocations; guards decodeAndAdvance's prio iteration
 
 	// Live aggregates kept in sync by setFrameState/setSlotState and the
 	// issue/select paths. They replace the per-cycle finished()/wakeFrames()
@@ -292,6 +291,7 @@ type Processor struct {
 	pendScratch  []isa.Reg
 	pendScratch2 []isa.Reg
 	idxScratch   []int
+	orderScratch []int // decodeAndAdvance's copy of prio
 
 	stats     Result
 	started   bool
@@ -414,6 +414,7 @@ func New(cfg Config, prog []isa.Instruction, m *mem.Memory) (*Processor, error) 
 		p.prio = append(p.prio, i)
 		p.prioIdx = append(p.prioIdx, uint8(i))
 	}
+	p.orderScratch = make([]int, 0, len(p.prio))
 	for i := 0; i < cfg.ContextFrames; i++ {
 		p.frames = append(p.frames, &contextFrame{id: i, traceID: -1})
 	}
@@ -693,7 +694,6 @@ func (p *Processor) rotateOnce() {
 	head := p.prio[0]
 	copy(p.prio, p.prio[1:])
 	p.prio[len(p.prio)-1] = head
-	p.rotCount++
 	for r, id := range p.prio {
 		p.prioIdx[id] = uint8(r)
 	}
