@@ -13,7 +13,8 @@ import (
 // canonicalFields or excluded (with a reason) in canonicalExcluded, and
 // never both. A newly grown field that is neither fails here (and at
 // vet-time via the configcanon analyzer) instead of silently aliasing run
-// keys.
+// keys. Exactly the excluded fields carry json:"-", so Config JSON names
+// the machine and no test knob.
 func TestCanonicalConfigCovers(t *testing.T) {
 	encoded := map[string]bool{}
 	for _, f := range canonicalFields {
@@ -33,6 +34,11 @@ func TestCanonicalConfigCovers(t *testing.T) {
 			t.Errorf("Config.%s is both canonically encoded and excluded; pick one", name)
 		case !enc && !exc:
 			t.Errorf("Config.%s is neither in canonicalFields nor canonicalExcluded: decide whether it affects results and add it to the canonical encoding (or exclude it with a reason)", name)
+		}
+		// Config JSON (e.g. -explore-json) carries the machine only: the
+		// excluded knobs are tagged out of it, and nothing else is.
+		if hidden := typ.Field(i).Tag.Get("json") == "-"; hidden != exc {
+			t.Errorf("Config.%s: json:\"-\" tag is %v, want %v (exactly the canonicalExcluded fields are left out of JSON)", name, hidden, exc)
 		}
 	}
 	for name := range encoded {

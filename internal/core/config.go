@@ -106,7 +106,7 @@ type Config struct {
 	// zero.
 	ExtraUnits [isa.NumUnitClasses + 1]int
 	// MaxCycles aborts runaway simulations.
-	MaxCycles uint64
+	MaxCycles uint64 `json:"-"`
 	// DisableCycleSkip pins the simulator to cycle-by-cycle stepping even
 	// through quiescent stretches (every slot idle or draining, all
 	// activity waiting on a known future event). The skip is cycle-exact —
@@ -114,11 +114,11 @@ type Config struct {
 	// path — so the flag exists for those tests and for debugging, not for
 	// correct results. Attaching an observer disables skipping regardless
 	// of this flag.
-	DisableCycleSkip bool
+	DisableCycleSkip bool `json:"-"`
 	// StrictVerify makes the top-level runners (hirata.RunMT) refuse to
 	// simulate a program the static verifier (internal/lint) finds
 	// diagnostics in. The core simulator itself ignores this field.
-	StrictVerify bool
+	StrictVerify bool `json:"-"`
 }
 
 // withDefaults fills unset fields.
