@@ -11,10 +11,11 @@ import (
 	"strings"
 )
 
-// HistoryRow mirrors one line of tools/benchdiff's BENCH_history.jsonl: a
-// bench run pinned to a time, revision and host, carrying best-of-N ns/op
-// and sim-cycles/s per benchmark plus, optionally, the cycle-loop phase
-// profile embedded by `benchdiff -history -phases`.
+// HistoryRow is one line of BENCH_history.jsonl, which tools/benchdiff
+// writes and reads through this type: a bench run pinned to a time,
+// revision and host, carrying best-of-N ns/op and sim-cycles/s per
+// benchmark plus, optionally, the cycle-loop phase profile embedded by
+// `benchdiff -history -phases`.
 type HistoryRow struct {
 	Time            string             `json:"time"`
 	Revision        string             `json:"revision"`
@@ -30,6 +31,8 @@ type HistoryRow struct {
 
 // HostClass is the comparability key of a history row: rows measured by
 // different toolchains or on different hardware classes are never compared.
+// Revisions are deliberately not part of it — comparing the newest revision
+// against an earlier one on the same host is the point of both gates.
 func (r HistoryRow) HostClass() string {
 	return fmt.Sprintf("%s/%s/%s/cpus=%d", r.GoVersion, r.OS, r.Arch, r.CPUs)
 }

@@ -108,27 +108,12 @@ func parse(r io.Reader) (measurement, error) {
 	return best, nil
 }
 
-// historyRow is one line of BENCH_history.jsonl: a bench run pinned to a
-// point in time, a revision, and a host.
-type historyRow struct {
-	Time            string             `json:"time"`
-	Revision        string             `json:"revision"`
-	Dirty           bool               `json:"dirty,omitempty"`
-	GoVersion       string             `json:"go"`
-	OS              string             `json:"os"`
-	Arch            string             `json:"arch"`
-	CPUs            int                `json:"cpus"`
-	Benchmarks      map[string]float64 `json:"benchmarks"`
-	SimCyclesPerSec map[string]float64 `json:"sim_cycles_per_s,omitempty"`
-	PhaseProfile    json.RawMessage    `json:"phase_profile,omitempty"`
-}
-
 // appendHistory writes one history row to path (JSON Lines, append-only).
 // phasesPath optionally names a hirata-bench -self-profile-json file whose
 // phase_profile member is embedded in the row.
-func appendHistory(path string, m measurement, phasesPath string) (historyRow, error) {
+func appendHistory(path string, m measurement, phasesPath string) (runledger.HistoryRow, error) {
 	bi := buildinfo.Get()
-	row := historyRow{
+	row := runledger.HistoryRow{
 		Time:            time.Now().UTC().Format(time.RFC3339),
 		Revision:        bi.ShortRevision(),
 		Dirty:           bi.Dirty,
@@ -167,51 +152,19 @@ func appendHistory(path string, m measurement, phasesPath string) (historyRow, e
 	return row, f.Close()
 }
 
-// readHistory parses a BENCH_history.jsonl file, skipping blank lines.
-func readHistory(path string) ([]historyRow, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var rows []historyRow
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		var row historyRow
-		if err := json.Unmarshal([]byte(line), &row); err != nil {
-			return nil, fmt.Errorf("benchdiff: %s: %v", path, err)
-		}
-		rows = append(rows, row)
-	}
-	return rows, sc.Err()
-}
-
-// sameHostClass reports whether two history rows are comparable: recorded
-// by the same Go toolchain on the same OS/arch with the same CPU count.
-// Revisions are deliberately *not* matched — comparing the newest revision
-// against the previous one on the same host is the point of the gate.
-func sameHostClass(a, b historyRow) bool {
-	return a.GoVersion == b.GoVersion && a.OS == b.OS && a.Arch == b.Arch && a.CPUs == b.CPUs
-}
-
 // checkHistoryRegression compares the last appended row against the most
 // recent earlier row of the same host class and returns one message per
 // shared sim-cycles/s metric that dropped by more than tol (0.10 = 10%).
 // Rows from other host classes are skipped, not compared: a container
 // class change shows up as an incomparable row, never as a false failure.
-func checkHistoryRegression(rows []historyRow, tol float64) []string {
+func checkHistoryRegression(rows []runledger.HistoryRow, tol float64) []string {
 	if len(rows) < 2 {
 		return nil
 	}
 	last := rows[len(rows)-1]
-	var prev *historyRow
+	var prev *runledger.HistoryRow
 	for i := len(rows) - 2; i >= 0; i-- {
-		if sameHostClass(rows[i], last) {
+		if rows[i].HostClass() == last.HostClass() {
 			prev = &rows[i]
 			break
 		}
@@ -242,7 +195,7 @@ func checkHistoryRegression(rows []historyRow, tol float64) []string {
 
 // writeTrend prints each benchmark's ns/op trajectory across the history,
 // with the per-row delta against the previous appearance.
-func writeTrend(w io.Writer, rows []historyRow) {
+func writeTrend(w io.Writer, rows []runledger.HistoryRow) {
 	names := map[string]bool{}
 	for _, r := range rows {
 		for n := range r.Benchmarks {
@@ -432,7 +385,7 @@ func main() {
 		if path == "" {
 			path = "BENCH_history.jsonl"
 		}
-		rows, err := readHistory(path)
+		rows, err := runledger.ReadHistory(path)
 		if err != nil {
 			fatal(err)
 		}
@@ -474,7 +427,7 @@ func main() {
 		}
 		fmt.Printf("benchdiff: appended %d benchmark(s) @ %s to %s\n",
 			len(row.Benchmarks), row.Revision, *historyPath)
-		rows, err := readHistory(*historyPath)
+		rows, err := runledger.ReadHistory(*historyPath)
 		if err != nil {
 			fatal(err)
 		}

@@ -39,26 +39,26 @@ func TestParseBestOfN(t *testing.T) {
 }
 
 func TestHistoryRegressionGate(t *testing.T) {
-	mk := func(cyc float64, gover string) historyRow {
-		return historyRow{
+	mk := func(cyc float64, gover string) runledger.HistoryRow {
+		return runledger.HistoryRow{
 			GoVersion: gover, OS: "linux", Arch: "amd64", CPUs: 1, Revision: "abc1234",
 			SimCyclesPerSec: map[string]float64{"BenchmarkSimulatorThroughput": cyc},
 		}
 	}
 	cases := []struct {
 		name  string
-		rows  []historyRow
+		rows  []runledger.HistoryRow
 		fails int
 	}{
-		{"single row", []historyRow{mk(500000, "go1.24.0")}, 0},
-		{"steady", []historyRow{mk(500000, "go1.24.0"), mk(495000, "go1.24.0")}, 0},
-		{"improved", []historyRow{mk(500000, "go1.24.0"), mk(1500000, "go1.24.0")}, 0},
-		{"within tolerance", []historyRow{mk(500000, "go1.24.0"), mk(460000, "go1.24.0")}, 0},
-		{"regressed", []historyRow{mk(500000, "go1.24.0"), mk(440000, "go1.24.0")}, 1},
-		{"different host class", []historyRow{mk(500000, "go1.23.0"), mk(100000, "go1.24.0")}, 0},
-		{"skips other class to comparable row", []historyRow{
+		{"single row", []runledger.HistoryRow{mk(500000, "go1.24.0")}, 0},
+		{"steady", []runledger.HistoryRow{mk(500000, "go1.24.0"), mk(495000, "go1.24.0")}, 0},
+		{"improved", []runledger.HistoryRow{mk(500000, "go1.24.0"), mk(1500000, "go1.24.0")}, 0},
+		{"within tolerance", []runledger.HistoryRow{mk(500000, "go1.24.0"), mk(460000, "go1.24.0")}, 0},
+		{"regressed", []runledger.HistoryRow{mk(500000, "go1.24.0"), mk(440000, "go1.24.0")}, 1},
+		{"different host class", []runledger.HistoryRow{mk(500000, "go1.23.0"), mk(100000, "go1.24.0")}, 0},
+		{"skips other class to comparable row", []runledger.HistoryRow{
 			mk(500000, "go1.24.0"), mk(900000, "go1.23.0"), mk(440000, "go1.24.0")}, 1},
-		{"metric absent in previous row", []historyRow{
+		{"metric absent in previous row", []runledger.HistoryRow{
 			{GoVersion: "go1.24.0", OS: "linux", Arch: "amd64", CPUs: 1},
 			mk(440000, "go1.24.0")}, 0},
 	}
@@ -99,7 +99,7 @@ func TestHistoryRoundTripAndTrend(t *testing.T) {
 			t.Fatalf("phase profile not embedded: %s", row.PhaseProfile)
 		}
 	}
-	rows, err := readHistory(hist)
+	rows, err := runledger.ReadHistory(hist)
 	if err != nil {
 		t.Fatal(err)
 	}
