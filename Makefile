@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint vet analyzers verify-examples lint-interthread lint-bounds fuzz fmt trace-demo profile cpi-demo explore-demo self-profile-demo bench-report bench bench-check bench-history report-demo
+.PHONY: all build test race lint vet analyzers verify-examples lint-interthread lint-bounds fuzz fmt trace-demo profile cpi-demo explore-demo self-profile-demo bench-report bench bench-check bench-history report-demo perfbench-check
 
 all: build test lint
 
@@ -117,6 +117,12 @@ report-demo:
 	$(GO) run ./cmd/hirata-report ls -ledger runs.ledger
 	$(GO) run ./cmd/hirata-report diff -ledger runs.ledger
 	$(GO) run ./tools/benchdiff -trend -ledger runs.ledger
+
+# perfbench-check vets and tests the benchmark (perfbench/, a nested Go
+# module that `go build ./...` at the root skips) against the current
+# facade it imports.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # bench-history appends this bench run (with the self-profile phase
 # breakdown) to BENCH_history.jsonl and prints the cross-run trend
