@@ -85,11 +85,11 @@ commands:
 run "hirata-report <command> -h" for command flags.`)
 }
 
-// cmdRecord simulates one run and appends its record. Unlike the RunMT*
-// recording hook (which only sees what the run mode provides), record
-// always runs observed and attaches both optional sections — the exact
-// CPI stack and the static-bound certificate — before hashing, so the
-// resulting record diffs at full precision.
+// cmdRecord simulates one run and appends its record. Unlike the facade's
+// recording hook (which attaches the exact CPI stack only when a collector
+// watches the run), record always runs observed and attaches both optional
+// sections — the exact CPI stack and the static-bound certificate — before
+// hashing, so the resulting record diffs at full precision.
 func cmdRecord(args []string) error {
 	fs := flag.NewFlagSet("record", flag.ExitOnError)
 	var (
